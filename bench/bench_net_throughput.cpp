@@ -1,19 +1,16 @@
-// Serving-layer throughput, both codecs side by side: requests/sec and
-// p50/p95 latency through a live in-process apserved core, cold cache vs
-// warm, for each of the serving-path modes:
+// Serving-layer throughput: requests/sec and p50/p95 latency through a
+// live in-process apserved core, cold cache vs warm, for each of the
+// serving-path modes:
 //
-//   sequential  — one call at a time (the v3 baseline shape)
-//   pipelined8  — 8 requests in flight on one connection (v4 pipelining)
-//   batch12     — compile_batch frames of 12 files (v4 batch submit)
+//   sequential  — one call at a time on one connection
+//   pipelined8  — 8 requests in flight on one connection
 //
 // The headline block is printed to stdout AND written to BENCH_net.json
-// in the working directory (CI uploads it as an artifact). The summary
-// records the v4 gate: warm single-file rps of the binary serving path
-// (pipelined) vs. the sequential JSON baseline, target >= 5x.
+// in the working directory (CI uploads it as an artifact).
 //
 // `--smoke` runs a reduced round count, skips the google-benchmark
-// timers, and exits nonzero unless the binary-codec warm rps beats the
-// JSON warm rps — the CI net-throughput job runs exactly this.
+// timers, and exits nonzero unless warm pipelined rps beats warm
+// sequential rps — the CI net-throughput job runs exactly this.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -80,8 +77,8 @@ struct BenchServer {
 };
 
 struct Measurement {
-  double rps = 0;     // items (files) per second
-  double p50_ms = 0;  // per round trip (per frame in batch mode)
+  double rps = 0;     // requests per second
+  double p50_ms = 0;  // per round trip
   double p95_ms = 0;
 };
 
@@ -95,13 +92,12 @@ net::Request to_request(const service::CompileJob& job) {
   return req;
 }
 
-bool connect_with_codec(net::Client* client, int port, bool binary) {
+bool connect_client(net::Client* client, int port) {
   std::string err;
   if (!client->connect(port, &err, 120'000)) {
     std::fprintf(stderr, "bench_net: connect failed: %s\n", err.c_str());
     return false;
   }
-  client->set_binary(binary);
   return true;
 }
 
@@ -115,11 +111,11 @@ Measurement finish(std::vector<double> latencies, size_t items,
   return m;
 }
 
-// One connection, one call at a time: the v3 baseline shape.
-Measurement drive_sequential(int port, bool binary, int rounds) {
+// One connection, one call at a time.
+Measurement drive_sequential(int port, int rounds) {
   auto jobs = service::suite_matrix();
   net::Client client;
-  if (!connect_with_codec(&client, port, binary)) return {};
+  if (!connect_client(&client, port)) return {};
   std::vector<double> latencies;
   std::string err;
   auto t_start = clock_type::now();
@@ -144,10 +140,10 @@ Measurement drive_sequential(int port, bool binary, int rounds) {
 
 // One connection, `depth` requests in flight, responses re-associated by
 // id as they return (possibly out of order).
-Measurement drive_pipelined(int port, bool binary, int rounds, int depth) {
+Measurement drive_pipelined(int port, int rounds, int depth) {
   auto jobs = service::suite_matrix();
   net::Client client;
-  if (!connect_with_codec(&client, port, binary)) return {};
+  if (!connect_client(&client, port)) return {};
   size_t total = jobs.size() * static_cast<size_t>(rounds);
   std::vector<double> latencies;
   std::unordered_map<int64_t, clock_type::time_point> inflight;
@@ -185,85 +181,28 @@ Measurement drive_pipelined(int port, bool binary, int rounds, int depth) {
   return finish(std::move(latencies), total, wall_s);
 }
 
-// compile_batch frames of `per_frame` files; rps still counts files.
-Measurement drive_batch(int port, bool binary, int rounds, size_t per_frame) {
-  auto jobs = service::suite_matrix();
-  net::Client client;
-  if (!connect_with_codec(&client, port, binary)) return {};
-  std::vector<double> latencies;
-  std::string err;
-  size_t items = 0;
-  auto t_start = clock_type::now();
-  for (int r = 0; r < rounds; ++r) {
-    for (size_t base = 0; base < jobs.size(); base += per_frame) {
-      net::Request req;
-      req.type = net::RequestType::CompileBatch;
-      size_t n = std::min(per_frame, jobs.size() - base);
-      for (size_t k = 0; k < n; ++k) {
-        net::BatchItem item;
-        item.name = jobs[base + k].app.name;
-        item.source = jobs[base + k].app.source;
-        item.annotations = jobs[base + k].app.annotations;
-        item.options = jobs[base + k].opts;
-        req.batch.push_back(std::move(item));
-      }
-      net::Response resp;
-      auto t0 = clock_type::now();
-      if (!client.call(std::move(req), &resp, &err) || !resp.has_batch) {
-        std::fprintf(stderr, "bench_net: batch call failed: %s\n",
-                     err.c_str());
-        return {};
-      }
-      latencies.push_back(
-          std::chrono::duration<double, std::milli>(clock_type::now() - t0)
-              .count());
-      items += resp.batch.size();
-    }
-  }
-  double wall_s =
-      std::chrono::duration<double>(clock_type::now() - t_start).count();
-  return finish(std::move(latencies), items, wall_s);
-}
-
-struct CodecRuns {
-  Measurement cold;        // sequential, fresh cache
-  Measurement sequential;  // warm
-  Measurement pipelined;   // warm, depth 8
-  Measurement batch;       // warm, 12 files per frame
-};
-
-CodecRuns measure_codec(bool binary, int warm_rounds) {
-  BenchServer bs;  // fresh server and cache => the first pass is cold
-  CodecRuns runs;
-  runs.cold = drive_sequential(bs.server.port(), binary, 1);
-  runs.sequential = drive_sequential(bs.server.port(), binary, warm_rounds);
-  runs.pipelined = drive_pipelined(bs.server.port(), binary, warm_rounds, 8);
-  runs.batch = drive_batch(bs.server.port(), binary, warm_rounds, 12);
-  return runs;
-}
-
 void append_measurement(std::string* out, const char* key,
                         const Measurement& m, bool last = false) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "      \"%s\": {\"rps\": %.1f, \"p50_ms\": %.3f, "
+                "    \"%s\": {\"rps\": %.1f, \"p50_ms\": %.3f, "
                 "\"p95_ms\": %.3f}%s\n",
                 key, m.rps, m.p50_ms, m.p95_ms, last ? "" : ",");
   *out += buf;
 }
 
-// Returns true when the smoke gate holds: the v4 binary serving path's
-// warm rps beats the JSON baseline's.
+// Returns true when the smoke gate holds: warm pipelined rps beats warm
+// sequential rps.
 bool run_headline(int warm_rounds, bool write_file) {
-  bench::header("NET THROUGHPUT: JSON VS BINARY CODEC (BENCH_net.json)");
+  bench::header("NET THROUGHPUT (BENCH_net.json)");
 
-  CodecRuns json = measure_codec(/*binary=*/false, warm_rounds);
-  CodecRuns bin = measure_codec(/*binary=*/true, warm_rounds);
+  BenchServer bs;  // fresh server and cache => the first pass is cold
+  Measurement cold = drive_sequential(bs.server.port(), 1);
+  Measurement sequential = drive_sequential(bs.server.port(), warm_rounds);
+  Measurement pipelined = drive_pipelined(bs.server.port(), warm_rounds, 8);
 
-  double baseline = json.sequential.rps;
-  double v4_path = bin.pipelined.rps;
-  double multiple = baseline > 0 ? v4_path / baseline : 0;
-  bool beats = v4_path > baseline;
+  double multiple = sequential.rps > 0 ? pipelined.rps / sequential.rps : 0;
+  bool beats = pipelined.rps > sequential.rps;
 
   std::string out;
   out += "{\n  \"bench\": \"net_throughput\",\n";
@@ -271,26 +210,17 @@ bool run_headline(int warm_rounds, bool write_file) {
   char buf[256];
   std::snprintf(buf, sizeof buf, "  \"warm_rounds\": %d,\n", warm_rounds);
   out += buf;
-  out += "  \"codecs\": {\n";
-  const struct { const char* name; const CodecRuns* runs; } codecs[] = {
-      {"json", &json}, {"binary", &bin}};
-  for (size_t c = 0; c < 2; ++c) {
-    out += std::string("    \"") + codecs[c].name + "\": {\n";
-    append_measurement(&out, "cold_sequential", codecs[c].runs->cold);
-    append_measurement(&out, "warm_sequential", codecs[c].runs->sequential);
-    append_measurement(&out, "warm_pipelined8", codecs[c].runs->pipelined);
-    append_measurement(&out, "warm_batch12", codecs[c].runs->batch,
-                       /*last=*/true);
-    out += c == 0 ? "    },\n" : "    }\n";
-  }
+  out += "  \"runs\": {\n";
+  append_measurement(&out, "cold_sequential", cold);
+  append_measurement(&out, "warm_sequential", sequential);
+  append_measurement(&out, "warm_pipelined8", pipelined, /*last=*/true);
   out += "  },\n";
   std::snprintf(buf, sizeof buf,
-                "  \"gate\": {\"json_warm_rps\": %.1f, "
-                "\"binary_pipelined_warm_rps\": %.1f, "
-                "\"multiple\": %.2f, \"binary_beats_json\": %s, "
-                "\"target_5x_met\": %s}\n}\n",
-                baseline, v4_path, multiple, beats ? "true" : "false",
-                multiple >= 5.0 ? "true" : "false");
+                "  \"gate\": {\"warm_sequential_rps\": %.1f, "
+                "\"warm_pipelined8_rps\": %.1f, \"multiple\": %.2f, "
+                "\"pipelined_beats_sequential\": %s}\n}\n",
+                sequential.rps, pipelined.rps, multiple,
+                beats ? "true" : "false");
   out += buf;
 
   std::fputs(out.c_str(), stdout);
@@ -304,38 +234,17 @@ bool run_headline(int warm_rounds, bool write_file) {
     }
   }
   std::fprintf(stderr,
-               "bench_net: v4 binary pipelined %.1f rps vs json baseline "
-               "%.1f rps (%.2fx, target 5x %s)\n",
-               v4_path, baseline, multiple,
-               multiple >= 5.0 ? "met" : "not met");
+               "bench_net: warm pipelined8 %.1f rps vs warm sequential "
+               "%.1f rps (%.2fx)\n",
+               pipelined.rps, sequential.rps, multiple);
   return beats;
 }
 
-void BM_RoundTripWarmJson(benchmark::State& state) {
+void BM_RoundTripWarm(benchmark::State& state) {
   BenchServer bs;
   auto jobs = service::suite_matrix();
   net::Client client;
-  if (!connect_with_codec(&client, bs.server.port(), false)) {
-    state.SkipWithError("connect failed");
-    return;
-  }
-  std::string err;
-  net::Response resp;
-  client.call(to_request(jobs[0]), &resp, &err);  // prewarm
-  for (auto _ : state) {
-    if (!client.call(to_request(jobs[0]), &resp, &err)) {
-      state.SkipWithError(err.c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(resp);
-  }
-}
-
-void BM_RoundTripWarmBinary(benchmark::State& state) {
-  BenchServer bs;
-  auto jobs = service::suite_matrix();
-  net::Client client;
-  if (!connect_with_codec(&client, bs.server.port(), true)) {
+  if (!connect_client(&client, bs.server.port())) {
     state.SkipWithError("connect failed");
     return;
   }
@@ -354,7 +263,7 @@ void BM_RoundTripWarmBinary(benchmark::State& state) {
 void BM_Ping(benchmark::State& state) {
   BenchServer bs;
   net::Client client;
-  if (!connect_with_codec(&client, bs.server.port(), false)) {
+  if (!connect_client(&client, bs.server.port())) {
     state.SkipWithError("connect failed");
     return;
   }
@@ -373,8 +282,7 @@ void BM_Ping(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_RoundTripWarmJson)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_RoundTripWarmBinary)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RoundTripWarm)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Ping)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
@@ -387,8 +295,8 @@ int main(int argc, char** argv) {
   if (smoke) {
     if (!gate) {
       std::fprintf(stderr,
-                   "bench_net: SMOKE FAIL — binary warm rps did not beat "
-                   "json warm rps\n");
+                   "bench_net: SMOKE FAIL — warm pipelined rps did not "
+                   "beat warm sequential rps\n");
       return 1;
     }
     std::fprintf(stderr, "bench_net: smoke gate passed\n");

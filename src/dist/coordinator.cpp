@@ -18,24 +18,6 @@ double ms_since(clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
 }
 
-// Routing fingerprint: the content cache key for a single compile/run; a
-// batch hashes its items' keys together (FNV-style fold), so identical
-// batches route identically and share a worker's warm cache.
-uint64_t route_key(const net::Request& req) {
-  net::RequestType effective =
-      req.type == net::RequestType::Forward ? req.inner : req.type;
-  if (effective == net::RequestType::CompileBatch) {
-    uint64_t key = 1469598103934665603ull;
-    for (const auto& item : req.batch) {
-      uint64_t k =
-          service::cache_key(item.source, item.annotations, item.options);
-      key = (key ^ k) * 1099511628211ull;
-    }
-    return key;
-  }
-  return service::cache_key(req.source, req.annotations, req.options);
-}
-
 }  // namespace
 
 Coordinator::Coordinator(const CoordinatorOptions& opts)
@@ -170,7 +152,7 @@ net::Response Coordinator::route(const net::Request& req,
 
   // Shard by the content fingerprint — the same key the cache tier uses,
   // so a key's route and its cache home coincide.
-  uint64_t key = route_key(req);
+  uint64_t key = service::cache_key(req.source, req.annotations, req.options);
   std::vector<Membership::RoutableWorker> routable =
       membership_.routable_with_load();
   if (routable.empty()) {
@@ -195,9 +177,9 @@ net::Response Coordinator::route(const net::Request& req,
 
   net::Request fwd = req;
   fwd.type = net::RequestType::Forward;
-  fwd.inner = req.type;  // Compile, Run, or CompileBatch (the admission
-                         // path admits only those plus Forward, which
-                         // workers never resend)
+  fwd.inner = req.type;  // Compile or Run (the admission path admits
+                         // only those plus Forward, which workers never
+                         // resend)
 
   int attempts = std::min<int>(opts_.max_attempts,
                                static_cast<int>(ids.size()));

@@ -27,12 +27,11 @@
 //                        leaderboard, sorted by request count
 //
 // Options:
-//   --coordinator        expect a fleet coordinator behind --port: perform
-//                        a `hello` handshake first and fail fast unless
-//                        the endpoint's role is "coordinator" and its
-//                        advertised protocol range overlaps ours. Requests
-//                        themselves are unchanged — the coordinator speaks
-//                        the same wire protocol as a single node.
+//   --coordinator        expect a fleet coordinator behind --port: fail
+//                        fast unless the `hello` handshake reports the
+//                        role "coordinator". Requests themselves are
+//                        unchanged — the coordinator speaks the same wire
+//                        protocol as a single node.
 //   --annot FILE         annotation DSL file (FILE.f mode)
 //   --config C           inlining config: none | conv | annot (default
 //                        annot; --matrix covers all three)
@@ -45,11 +44,6 @@
 //   --pipeline N         (--matrix) keep up to N requests in flight per
 //                        connection (pipelined; responses may return out
 //                        of order and are matched by id; default 1)
-//   --batch N            (--matrix) pack N files per `compile_batch`
-//                        frame (v4; incompatible with --run; default off)
-//   --codec C            wire codec: auto | json | binary (default auto:
-//                        hello-negotiate, binary when the server offers
-//                        it, JSON otherwise)
 //   --check              (--matrix) recompile in-process and exit 3 on
 //                        any mismatch in verdicts or program text
 //   --min-hit-rate F     (--matrix) exit 2 unless the server answered at
@@ -107,14 +101,10 @@ using namespace ap;
 
 namespace {
 
-enum class Codec { Auto, Json, Binary };
-
 struct Args {
   int port = -1;
   bool coordinator = false;
   int pipeline = 1;
-  int batch = 0;
-  Codec codec = Codec::Auto;
   std::string source_file;
   std::string annot_file;
   std::string app_name;
@@ -151,7 +141,7 @@ struct Args {
                "[--trace] [--interval-ms N] [--annot FILE] "
                "[--config none|conv|annot] [--run] [--engine tree|bytecode] "
                "[--run-threads N] [--connections N] [--pipeline N] "
-               "[--batch N] [--codec auto|json|binary] [--check] "
+               "[--check] "
                "[--min-hit-rate F] [--edit-loop N] [--edit-unit NAME] "
                "[--min-unit-hit-rate F] [--min-unit-peer-hits N] "
                "[--stop-after PASS] [--print-after PASS] "
@@ -220,15 +210,6 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--pipeline") {
       a.pipeline = std::atoi(value());
       if (a.pipeline < 1) usage_error("--pipeline must be >= 1");
-    } else if (arg == "--batch") {
-      a.batch = std::atoi(value());
-      if (a.batch < 1) usage_error("--batch must be >= 1");
-    } else if (arg == "--codec") {
-      std::string_view c = value();
-      if (c == "auto") a.codec = Codec::Auto;
-      else if (c == "json") a.codec = Codec::Json;
-      else if (c == "binary") a.codec = Codec::Binary;
-      else usage_error("--codec must be auto, json, or binary");
     } else if (arg == "--min-hit-rate") {
       a.min_hit_rate = std::atof(value());
     } else if (arg == "--edit-loop") {
@@ -266,9 +247,6 @@ Args parse_args(int argc, char** argv) {
                 "--metrics, --stats, --top");
   if (a.trace && a.source_file.empty() && (a.app_name.empty() || a.edit_loop))
     usage_error("--trace applies to single-shot FILE.f / --app modes");
-  if (a.batch > 0 && a.run)
-    usage_error("--batch is compile-only (incompatible with --run)");
-  if (a.batch > 0 && !a.matrix) usage_error("--batch requires --matrix");
   if (a.pipeline > 1 && !a.matrix) usage_error("--pipeline requires --matrix");
   if (a.edit_loop > 0 && a.app_name.empty())
     usage_error("--edit-loop requires --app");
@@ -279,22 +257,6 @@ Args parse_args(int argc, char** argv) {
         "--edit-unit/--min-unit-hit-rate/--min-unit-peer-hits require "
         "--edit-loop");
   return a;
-}
-
-// Applies the requested codec after connecting: auto hello-negotiates
-// (binary iff the server offers it), binary forces it blind, json is the
-// wire default.
-bool setup_codec(net::Client* client, const Args& args, std::string* err) {
-  switch (args.codec) {
-    case Codec::Auto:
-      return client->negotiate(err);
-    case Codec::Binary:
-      client->set_binary(true);
-      return true;
-    case Codec::Json:
-      return true;
-  }
-  return true;
 }
 
 bool read_file(const std::string& path, std::string* out) {
@@ -320,9 +282,9 @@ int run_matrix(const Args& args) {
   auto jobs = service::suite_matrix(base);
   std::vector<WireResult> wire(jobs.size());
 
-  // `connections` clients each pull the next unclaimed job (or batch of
-  // jobs); results land in job-index slots so the summary is
-  // deterministic regardless of completion order.
+  // `connections` clients each pull the next unclaimed job; results land
+  // in job-index slots so the summary is deterministic regardless of
+  // completion order.
   std::atomic<size_t> next{0};
   std::atomic<int> connect_failures{0};
   auto build_request = [&](size_t i) {
@@ -343,46 +305,9 @@ int run_matrix(const Args& args) {
     net::Client client;
     std::string err;
     if (!client.connect(args.port, &err, args.timeout_ms) ||
-        !setup_codec(&client, args, &err)) {
+        !client.negotiate(&err)) {
       ++connect_failures;
       return;
-    }
-    if (args.batch > 0) {
-      // Batch mode: claim `batch` consecutive jobs, send them as one
-      // `compile_batch` frame, explode the N results back into job slots.
-      size_t stride = static_cast<size_t>(args.batch);
-      while (true) {
-        size_t begin = next.fetch_add(stride);
-        if (begin >= jobs.size()) return;
-        size_t end = std::min(begin + stride, jobs.size());
-        net::Request req;
-        req.type = net::RequestType::CompileBatch;
-        req.deadline_ms = args.deadline_ms;
-        for (size_t i = begin; i < end; ++i)
-          req.batch.push_back({jobs[i].app.name, jobs[i].app.source,
-                               jobs[i].app.annotations, jobs[i].opts});
-        net::Response resp;
-        bool ok = client.call(std::move(req), &resp, &err);
-        for (size_t i = begin; i < end; ++i) {
-          wire[i].transport_ok = ok;
-          if (!ok) {
-            wire[i].transport_err = err;
-            continue;
-          }
-          wire[i].resp.status = resp.status;
-          wire[i].resp.error = resp.error;
-          size_t k = i - begin;
-          if (resp.has_batch && k < resp.batch.size()) {
-            wire[i].resp.has_result = true;
-            wire[i].resp.result = resp.batch[k];
-            if (!resp.batch[k].ok && resp.status == net::Status::Ok) {
-              wire[i].resp.status = net::Status::Error;
-              wire[i].resp.error = resp.batch[k].error;
-            }
-          }
-        }
-        if (!ok) return;  // connection is unusable
-      }
     }
     // Pipelined mode: keep up to `pipeline` requests in flight, matching
     // out-of-order responses to jobs by id.
@@ -531,7 +456,7 @@ int run_edit_loop(const Args& args) {
   net::Client client;
   std::string err;
   if (!client.connect(args.port, &err, args.timeout_ms) ||
-      !setup_codec(&client, args, &err)) {
+      !client.negotiate(&err)) {
     std::fprintf(stderr, "apclient: %s\n", err.c_str());
     return 1;
   }
@@ -675,7 +600,7 @@ int run_single(const Args& args) {
   net::Client client;
   std::string err;
   if (!client.connect(args.port, &err, args.timeout_ms) ||
-      !setup_codec(&client, args, &err)) {
+      !client.negotiate(&err)) {
     std::fprintf(stderr, "apclient: %s\n", err.c_str());
     return 1;
   }
@@ -740,7 +665,7 @@ int run_probe(const Args& args, net::RequestType type) {
   net::Client client;
   std::string err;
   if (!client.connect(args.port, &err, args.timeout_ms) ||
-      !setup_codec(&client, args, &err)) {
+      !client.negotiate(&err)) {
     std::fprintf(stderr, "apclient: %s\n", err.c_str());
     return 1;
   }
@@ -769,7 +694,7 @@ int run_top(const Args& args) {
   net::Client client;
   std::string err;
   if (!client.connect(args.port, &err, args.timeout_ms) ||
-      !setup_codec(&client, args, &err)) {
+      !client.negotiate(&err)) {
     std::fprintf(stderr, "apclient: %s\n", err.c_str());
     return 1;
   }
@@ -831,17 +756,14 @@ int run_top(const Args& args) {
   return 0;
 }
 
-// --coordinator: negotiate before submitting. Verifies the endpoint is a
-// coordinator and that the advertised protocol range overlaps ours.
+// --coordinator: handshake before submitting. Verifies the endpoint is a
+// coordinator that speaks our protocol version.
 int check_coordinator(const Args& args) {
   net::Client client;
   std::string err;
-  if (!client.connect(args.port, &err, args.timeout_ms)) {
-    std::fprintf(stderr, "apclient: %s\n", err.c_str());
-    return 1;
-  }
   net::HelloInfo info;
-  if (!client.hello(&info, &err)) {
+  if (!client.connect(args.port, &err, args.timeout_ms) ||
+      !client.negotiate(&err, &info)) {
     std::fprintf(stderr, "apclient: %s\n", err.c_str());
     return 1;
   }
@@ -850,15 +772,6 @@ int check_coordinator(const Args& args) {
                  "apclient: endpoint on port %d is a \"%s\", not a "
                  "coordinator\n",
                  args.port, info.role.c_str());
-    return 1;
-  }
-  if (info.max_version < net::kMinProtocolVersion ||
-      info.min_version > net::kProtocolVersion) {
-    std::fprintf(stderr,
-                 "apclient: no protocol overlap: server speaks v%d..v%d, "
-                 "client v%d..v%d\n",
-                 info.min_version, info.max_version, net::kMinProtocolVersion,
-                 net::kProtocolVersion);
     return 1;
   }
   if (info.draining)

@@ -1,6 +1,6 @@
 // apserved — the compilation service as a long-lived network daemon.
 //
-// Serves the length-prefixed JSON protocol of src/net on loopback TCP.
+// Serves the length-prefixed binary protocol of src/net on loopback TCP.
 // Three roles:
 //
 //   (default)      single-node: compile/run requests dispatch through the

@@ -16,7 +16,7 @@
 //            --cache-max-mb budget and can evict (or be evicted by) the
 //            whole-request tier's files;
 //   peer   — optional hook (set_peer_lookup): on a memory+disk miss the
-//            cache asks the fleet (wire v6 unit_probe), called OUTSIDE the
+//            cache asks the fleet (unit_probe), called OUTSIDE the
 //            mutex; a peer payload is adopted into memory+disk. The
 //            symmetric store hook pushes fresh artifacts to peers
 //            (unit_fill).

@@ -10,6 +10,9 @@ namespace ap::net {
 
 namespace {
 
+// First byte of every payload.
+constexpr unsigned char kBinaryMagic = 0xB4;
+
 // Message kind byte (payload byte 1, after the magic).
 constexpr unsigned char kKindRequest = 0x01;
 constexpr unsigned char kKindResponse = 0x02;
@@ -160,9 +163,9 @@ class BinReader {
 };
 
 // ---------------------------------------------------------------------------
-// Nested message codecs. Each mirrors the field set its JSON counterpart in
-// protocol.cpp serializes — the round-trip-equality tests compare through
-// the JSON dump, so any divergence here is caught immediately.
+// Nested message codecs. Each mirrors the field set the JSON rendering in
+// protocol.cpp shows — the round-trip-equality tests compare through the
+// JSON dump, so any divergence here is caught immediately.
 
 void enc_pipeline_options(std::string* out, const driver::PipelineOptions& o) {
   unsigned char config = 0;
@@ -276,7 +279,6 @@ bool dec_interp_options(BinReader& r, interp::InterpOptions* out) {
     }
     if (r.failed()) return false;
   }
-  // Same clamp the JSON decoder applies.
   if (o.num_threads < 1) o.num_threads = 1;
   *out = o;
   return true;
@@ -345,11 +347,9 @@ bool dec_worker_load(BinReader& r, WorkerLoad* out) {
 }
 
 void enc_hello(std::string* out, const HelloInfo& h) {
-  field_svarint(out, 1, h.min_version);
-  field_svarint(out, 2, h.max_version);
-  field_str(out, 3, h.role);
-  field_bool(out, 4, h.draining);
-  field_bool(out, 5, h.binary);
+  field_svarint(out, 1, h.version);
+  field_str(out, 2, h.role);
+  field_bool(out, 3, h.draining);
   put_u8(out, kEnd);
 }
 
@@ -360,11 +360,9 @@ bool dec_hello(BinReader& r, HelloInfo* out) {
     if (r.failed()) return false;
     if (tag == kEnd) break;
     switch (tag) {
-      case 1: h.min_version = static_cast<int>(r.svarint()); break;
-      case 2: h.max_version = static_cast<int>(r.svarint()); break;
-      case 3: h.role = std::string(r.str()); break;
-      case 4: h.draining = r.boolean(); break;
-      case 5: h.binary = r.boolean(); break;
+      case 1: h.version = static_cast<int>(r.svarint()); break;
+      case 2: h.role = std::string(r.str()); break;
+      case 3: h.draining = r.boolean(); break;
       default:
         r.set_fail("unknown hello tag");
         return false;
@@ -393,8 +391,8 @@ void enc_compile_result(std::string* out, const service::CompileResult& c) {
     field_double(out, 2, p.wall_ms);
     field_svarint(out, 3, p.units);
     field_svarint(out, 4, p.diagnostics);
-    // v6 per-boundary counters, emitted only when the pass snapshotted
-    // (mirrors the JSON codec's emit-when-nonzero rule).
+    // Per-boundary counters, emitted only when the pass snapshotted
+    // (mirrors the JSON rendering's emit-when-nonzero rule).
     if (p.unit_hits + p.unit_misses > 0) {
       field_svarint(out, 5, p.unit_hits);
       field_svarint(out, 6, p.unit_misses);
@@ -528,50 +526,6 @@ bool dec_run_payload(BinReader& r, RunPayload* out) {
   return true;
 }
 
-void enc_batch_item(std::string* out, const BatchItem& b) {
-  if (!b.name.empty()) field_str(out, 1, b.name);
-  field_str(out, 2, b.source);
-  if (!b.annotations.empty()) field_str(out, 3, b.annotations);
-  put_u8(out, 4);
-  enc_pipeline_options(out, b.options);
-  put_u8(out, kEnd);
-}
-
-bool dec_batch_item(BinReader& r, BatchItem* out) {
-  BatchItem b;
-  while (true) {
-    unsigned char tag = r.u8();
-    if (r.failed()) return false;
-    if (tag == kEnd) break;
-    switch (tag) {
-      case 1: b.name = std::string(r.str()); break;
-      case 2: b.source = std::string(r.str()); break;
-      case 3: b.annotations = std::string(r.str()); break;
-      case 4:
-        if (!dec_pipeline_options(r, &b.options)) return false;
-        break;
-      default:
-        r.set_fail("unknown batch-item tag");
-        return false;
-    }
-    if (r.failed()) return false;
-  }
-  *out = std::move(b);
-  return true;
-}
-
-// Same payload-shape predicates the JSON codec uses.
-bool carries_compile_payload(RequestType t, RequestType inner) {
-  if (t == RequestType::Forward)
-    return inner == RequestType::Compile || inner == RequestType::Run;
-  return t == RequestType::Compile || t == RequestType::Run;
-}
-
-bool carries_batch_payload(RequestType t, RequestType inner) {
-  return t == RequestType::CompileBatch ||
-         (t == RequestType::Forward && inner == RequestType::CompileBatch);
-}
-
 bool fail(std::string* err, BinReader& r, const char* fallback) {
   if (err) *err = r.failed() ? r.error() : fallback;
   return false;
@@ -588,24 +542,18 @@ void encode_request_binary(const Request& r, std::string* out) {
   field_u8(out, 1, static_cast<unsigned char>(r.type));
   field_svarint(out, 2, r.id);
   field_svarint(out, 3, r.version);
-  if (carries_compile_payload(r.type, r.inner)) {
+  if (carries_compile_payload(r)) {
     if (!r.name.empty()) field_str(out, 4, r.name);
     field_str(out, 5, r.source);
     if (!r.annotations.empty()) field_str(out, 6, r.annotations);
     put_u8(out, 7);
     enc_pipeline_options(out, r.options);
+    if (r.deadline_ms > 0) field_svarint(out, 9, r.deadline_ms);
   }
-  bool wants_interp =
-      r.type == RequestType::Run ||
-      (r.type == RequestType::Forward && r.inner == RequestType::Run);
-  if (wants_interp) {
+  if (carries_interp_options(r)) {
     put_u8(out, 8);
     enc_interp_options(out, r.interp);
   }
-  if ((carries_compile_payload(r.type, r.inner) ||
-       carries_batch_payload(r.type, r.inner)) &&
-      r.deadline_ms > 0)
-    field_svarint(out, 9, r.deadline_ms);
   switch (r.type) {
     case RequestType::Register:
       put_u8(out, 10);
@@ -640,13 +588,7 @@ void encode_request_binary(const Request& r, std::string* out) {
     default:
       break;
   }
-  if (carries_batch_payload(r.type, r.inner)) {
-    put_u8(out, 17);
-    put_varint(out, r.batch.size());
-    for (const auto& b : r.batch) enc_batch_item(out, b);
-  }
-  // v5 trace context, emitted only when set (unknown tags are decode
-  // errors, so pre-v5 peers never see these).
+  // Trace context, emitted only when set.
   if (r.trace) field_bool(out, 18, true);
   if (r.trace_id) field_varint(out, 19, r.trace_id);
   put_u8(out, kEnd);
@@ -707,7 +649,7 @@ bool decode_request_binary(std::string_view payload, Request* out,
       case 14: q.payload = std::string(r.str()); break;
       case 15: {
         unsigned char t = r.u8();
-        if (t > static_cast<unsigned char>(RequestType::Stats)) {
+        if (t > static_cast<unsigned char>(RequestType::UnitFill)) {
           if (err) *err = "unknown forward inner type";
           return false;
         }
@@ -715,16 +657,6 @@ bool decode_request_binary(std::string_view payload, Request* out,
         break;
       }
       case 16: q.attempt = static_cast<int>(r.svarint()); break;
-      case 17: {
-        uint64_t n = r.varint();
-        if (r.failed()) return fail(err, r, "bad batch");
-        for (uint64_t i = 0; i < n; ++i) {
-          BatchItem b;
-          if (!dec_batch_item(r, &b)) return fail(err, r, "bad batch item");
-          q.batch.push_back(std::move(b));
-        }
-        break;
-      }
       case 18: q.trace = r.boolean(); break;
       case 19: q.trace_id = r.varint(); break;
       case 20: q.boundary = std::string(r.str()); break;
@@ -738,14 +670,13 @@ bool decode_request_binary(std::string_view payload, Request* out,
     if (err) *err = "trailing bytes after request";
     return false;
   }
-  // Same semantic validation the JSON decoder enforces. The version range
-  // is deliberately NOT checked here: the server answers an out-of-range
-  // claim with a structured `unsupported_version` (connection stays open),
-  // which requires the decode itself to succeed.
+  // Semantic validation. The version is deliberately NOT checked here:
+  // the server answers a mismatched claim with a structured
+  // `unsupported_version` (connection stays open), which requires the
+  // decode itself to succeed.
   if (q.type == RequestType::Forward && q.inner != RequestType::Compile &&
-      q.inner != RequestType::Run && q.inner != RequestType::CompileBatch) {
-    if (err)
-      *err = "forward requires inner type compile, run, or compile_batch";
+      q.inner != RequestType::Run) {
+    if (err) *err = "forward requires inner type compile or run";
     return false;
   }
   if ((q.type == RequestType::Register || q.type == RequestType::Heartbeat) &&
@@ -803,11 +734,6 @@ void encode_response_binary(const Response& r, std::string* out) {
     put_u8(out, 10);
     put_varint(out, r.peers.size());
     for (const auto& p : r.peers) enc_worker_info(out, p);
-  }
-  if (r.has_batch) {
-    put_u8(out, 11);
-    put_varint(out, r.batch.size());
-    for (const auto& c : r.batch) enc_compile_result(out, c);
   }
   put_u8(out, kEnd);
 }
@@ -877,18 +803,6 @@ bool decode_response_binary(std::string_view payload, Response* out,
           WorkerInfo w;
           if (!dec_worker_info(r, &w)) return fail(err, r, "bad peer");
           q.peers.push_back(std::move(w));
-        }
-        break;
-      }
-      case 11: {
-        q.has_batch = true;
-        uint64_t n = r.varint();
-        if (r.failed()) return fail(err, r, "bad batch");
-        for (uint64_t i = 0; i < n; ++i) {
-          service::CompileResult c;
-          if (!dec_compile_result(r, &c))
-            return fail(err, r, "bad batch result");
-          q.batch.push_back(std::move(c));
         }
         break;
       }

@@ -1,12 +1,9 @@
-// Wire protocol v4: the binary TLV codec.
+// The binary TLV codec: the only wire encoding of protocol.h's messages.
 //
-// Encodes the exact message set of protocol.h (every request and response
-// type, v1–v4) as a compact tag-value stream instead of JSON. The first
-// payload byte is the magic 0xB4 — which can never open a JSON document —
-// so binary and JSON frames coexist on one connection and the receiver
-// dispatches per frame. A server answers each request in the codec it
-// arrived in; clients switch to binary only after a `hello` advertised
-// support (HelloInfo::binary / max_version >= 4).
+// Every request and response type travels as a compact tag-value stream.
+// The first payload byte is the magic 0xB4, so a payload that is not a
+// binary message (a stray JSON document, say) is rejected before any
+// field is read.
 //
 // Layout of one payload:
 //
@@ -20,15 +17,14 @@
 // signed integers, length-prefixed bytes for strings, 8 little-endian
 // bytes for doubles, a single byte for bools, and end-tag-terminated
 // sub-streams (same tag-value form, closed by 0x00 — no length prefix,
-// so encoding is single-pass) for nested messages. Unknown tags
-// cannot be skipped (the type is not self-describing), so they are
-// decode errors — within one process this never happens, and
-// cross-version peers negotiate down to JSON, which ignores unknown
-// keys.
+// so encoding is single-pass) for nested messages. Unknown tags cannot
+// be skipped (the type is not self-describing), so they are decode
+// errors; both ends speak kProtocolVersion, so they never occur between
+// matching peers.
 //
 // The equivalence contract, held by tests/net_test.cpp: for every
 // message m, json(decode_binary(encode_binary(m))) is byte-identical to
-// json(m). The binary codec adds a transport encoding, never a semantic.
+// json(m), where json is the protocol.h rendering.
 //
 // Decoders never throw and never read out of bounds; any truncated,
 // oversized, or malformed stream returns false with *err set, which the
@@ -41,17 +37,6 @@
 #include "net/protocol.h"
 
 namespace ap::net {
-
-// First byte of every binary payload; never '{' or whitespace, so a JSON
-// receiver cannot confuse the two.
-inline constexpr unsigned char kBinaryMagic = 0xB4;
-
-// True when `payload` claims to be a binary v4 frame (magic byte match —
-// the cheap per-frame codec dispatch).
-inline bool is_binary_frame(std::string_view payload) {
-  return !payload.empty() &&
-         static_cast<unsigned char>(payload[0]) == kBinaryMagic;
-}
 
 // Append the binary encoding of the message to *out (existing contents
 // are preserved — callers reuse per-connection scratch buffers so the

@@ -15,7 +15,7 @@
 //
 // Transport errors poison the stream (frames cannot be re-associated on
 // a fresh connection), so every in-flight call fails together; the next
-// call reconnects lazily and renegotiates the codec. The coordinator
+// call reconnects lazily and repeats the handshake. The coordinator
 // pools one Channel per worker — forwarding concurrency then comes from
 // pipelining instead of connection-per-request.
 #pragma once
@@ -37,8 +37,6 @@ struct ChannelOptions {
   // Bounds each blocking read while waiting for responses (0 = forever).
   // A timeout is a transport failure: all in-flight calls fail.
   int recv_timeout_ms = 0;
-  // Hello-negotiate the binary codec on (re)connect. Off = speak JSON.
-  bool negotiate = true;
 };
 
 class Channel {
@@ -67,8 +65,6 @@ class Channel {
   uint64_t reconnects() const;
   // Largest number of simultaneously in-flight calls seen (telemetry).
   uint64_t inflight_peak() const;
-  // Whether the current connection negotiated the binary codec.
-  bool binary() const;
 
  private:
   struct Waiter {

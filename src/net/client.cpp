@@ -16,7 +16,6 @@ Client::~Client() { close(); }
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_id_(other.next_id_),
-      binary_(other.binary_),
       reader_(std::move(other.reader_)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
@@ -24,7 +23,6 @@ Client& Client::operator=(Client&& other) noexcept {
     close();
     fd_ = std::exchange(other.fd_, -1);
     next_id_ = other.next_id_;
-    binary_ = other.binary_;
     reader_ = std::move(other.reader_);
   }
   return *this;
@@ -112,10 +110,7 @@ bool Client::submit(Request req, int64_t* id_out, std::string* err) {
   // per-request allocation once its capacity has grown.
   sendbuf_.clear();
   size_t hdr = begin_frame(&sendbuf_);
-  if (binary_)
-    encode_request_binary(req, &sendbuf_);
-  else
-    sendbuf_ += request_to_json(req).dump();
+  encode_request_binary(req, &sendbuf_);
   end_frame(&sendbuf_, hdr);
   return send_raw(sendbuf_, err);
 }
@@ -123,22 +118,8 @@ bool Client::submit(Request req, int64_t* id_out, std::string* err) {
 bool Client::recv_any(Response* resp, std::string* err) {
   auto payload = recv_frame(err);
   if (!payload) return false;
-  if (is_binary_frame(*payload)) {
-    std::string decode_err;
-    if (!decode_response_binary(*payload, resp, &decode_err)) {
-      if (err) *err = "undecodable response: " + decode_err;
-      return false;
-    }
-    return true;
-  }
-  std::string parse_err;
-  auto doc = json::parse(*payload, &parse_err);
-  if (!doc) {
-    if (err) *err = "undecodable response: " + parse_err;
-    return false;
-  }
   std::string decode_err;
-  if (!response_from_json(*doc, resp, &decode_err)) {
+  if (!decode_response_binary(*payload, resp, &decode_err)) {
     if (err) *err = "undecodable response: " + decode_err;
     return false;
   }
@@ -151,14 +132,6 @@ bool Client::call(Request req, Response* resp, std::string* err) {
 }
 
 bool Client::negotiate(std::string* err, HelloInfo* info) {
-  HelloInfo h;
-  if (!hello(&h, err)) return false;
-  binary_ = h.binary;
-  if (info) *info = h;
-  return true;
-}
-
-bool Client::hello(HelloInfo* info, std::string* err) {
   Request req;
   req.type = RequestType::Hello;
   Response resp;
@@ -171,6 +144,12 @@ bool Client::hello(HelloInfo* info, std::string* err) {
     return false;
   }
   if (info) *info = resp.hello;
+  if (resp.hello.version != kProtocolVersion) {
+    if (err)
+      *err = "server speaks protocol v" + std::to_string(resp.hello.version) +
+             ", client v" + std::to_string(kProtocolVersion);
+    return false;
+  }
   return true;
 }
 

@@ -9,11 +9,9 @@
 //     how callers re-associate them (`apclient --pipeline N` drives
 //     this; net::Channel wraps it in a thread-safe multiplexer).
 //
-// Codec: JSON by default (interoperates with any v1+ server). After
-// negotiate() — or an explicit set_binary(true) — requests are encoded
-// with the v4 binary TLV codec (binproto.h). Received frames are always
-// decoded by sniffing the codec byte, so a client can speak JSON while
-// accepting binary and vice versa.
+// Every frame is encoded with the binary TLV codec (binproto.h).
+// negotiate() is the optional handshake that confirms the server speaks
+// kProtocolVersion before any work is sent.
 //
 // Not thread-safe; callers wanting concurrency open several Clients or
 // use net::Channel.
@@ -41,21 +39,19 @@ class Client {
   // bounds each blocking read (0 = wait forever).
   bool connect(const std::string& host, int port, std::string* err,
                int recv_timeout_ms = 0);
-  // Loopback shorthand, unchanged from v3 and earlier.
+  // Loopback shorthand.
   bool connect(int port, std::string* err, int recv_timeout_ms = 0);
   void close();
   bool connected() const { return fd_ >= 0; }
 
-  // Selects the request codec explicitly. Binary frames are only
-  // understood by v4 servers — use negotiate() unless the peer's version
-  // is already known.
-  void set_binary(bool on) { binary_ = on; }
-  bool binary() const { return binary_; }
+  // The codec in use: always the binary one. Kept as an accessor for
+  // callers that assert it.
+  bool binary() const { return true; }
 
-  // Hello-based codec negotiation: switches to the binary codec iff the
-  // server advertises it (HelloInfo::binary). Returns false only on
-  // transport failure — a JSON-only peer is a successful negotiation that
-  // leaves the codec on JSON.
+  // The handshake: sends a `hello` and stores the server's version, role
+  // and drain state in *info (when non-null). False with *err on
+  // transport failure, on a server that does not answer hello, or on a
+  // server whose version is not kProtocolVersion.
   bool negotiate(std::string* err, HelloInfo* info = nullptr);
 
   // Sends the request and blocks for the next response. False with *err
@@ -73,11 +69,6 @@ class Client {
   // Blocks for the next response frame, whichever request it answers.
   bool recv_any(Response* resp, std::string* err);
 
-  // Version negotiation: sends a `hello` and returns the server's
-  // advertised version range, role, and drain state. False with *err on
-  // transport failure or a server that does not answer hello.
-  bool hello(HelloInfo* info, std::string* err);
-
   // Raw frame transport (exposed for protocol-hardening tests that must
   // send malformed payloads).
   bool send_frame(std::string_view payload, std::string* err);
@@ -87,7 +78,6 @@ class Client {
  private:
   int fd_ = -1;
   int64_t next_id_ = 1;
-  bool binary_ = false;
   FrameReader reader_{kDefaultMaxFrame};
   std::string sendbuf_;  // reused per submit; frame built in place
 };

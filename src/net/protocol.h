@@ -1,50 +1,49 @@
-// The versioned JSON wire protocol spoken between apserved and apclient.
+// The wire protocol spoken between apserved, apclient and the fleet.
 //
-// Every frame payload is one JSON object. Requests carry `"v"` (protocol
-// version, any value in [kMinProtocolVersion, kProtocolVersion]), `"type"`,
-// a client-chosen `"id"` echoed in the response, and per-type fields:
+// Every frame payload is one binary TLV message (binproto.h). Requests
+// carry the protocol version (which must equal kProtocolVersion), a
+// type, a client-chosen id echoed in the response, and per-type fields:
 //
 //   compile     — source text, annotation text, full PipelineOptions
 //   run         — compile fields plus a full InterpOptions encoding; the
 //                 server compiles (uncached path: execution needs the live
 //                 AST with its OMP metadata) and executes the result
 //   metrics     — no payload; returns cache + server counters
-//   stats       — v5: no payload; returns the live metrics document plus
+//   stats       — no payload; returns the live metrics document plus
 //                 latency-histogram summaries (per request type and per
 //                 cache outcome) and trace-store counters, answered on
 //                 the loop thread so a busy daemon can be polled without
 //                 draining
 //   ping        — no payload; liveness probe
-//   hello       — version negotiation: answered with the server's supported
-//                 version range, role, and drain state. Answered for ANY
-//                 claimed version — this is how a client discovers what to
-//                 speak before committing to a version.
+//   hello       — the handshake: answered with the server's version, role
+//                 and drain state. Answered for ANY claimed version, so a
+//                 client learns what the server speaks before it commits.
 //
-// Fleet control plane (v3, the distributed tier of src/dist):
+// Fleet control plane (the distributed tier of src/dist):
 //
 //   register    — a worker joins a coordinator: identity + address.
 //                 Response carries the current routable peer list.
 //   heartbeat   — periodic worker→coordinator liveness + load + cache
-//                 stats; `leaving: true` announces a graceful departure.
+//                 stats; `leaving` announces a graceful departure.
 //                 Response refreshes the peer list.
 //   cache_probe — "do you hold content hash K?" — answered from the local
 //                 result cache with the serialized CompileResult on hit.
 //                 The peer-lookup half of the distributed cache tier.
 //   cache_fill  — push a serialized result under K into the receiver's
 //                 cache (replication after a fresh compile).
-//   unit_probe  — v6: "do you hold unit-artifact key K?" — answered from
-//                 the local unit cache (incr::UnitCache::peek) with the
-//                 opaque pass-boundary payload on hit. Lets a late-joining
-//                 or resharded worker resume a unit mid-pipeline from a
+//   unit_probe  — "do you hold unit-artifact key K?" — answered from the
+//                 local unit cache (incr::UnitCache::peek) with the opaque
+//                 pass-boundary payload on hit. Lets a late-joining or
+//                 resharded worker resume a unit mid-pipeline from a
 //                 peer's snapshot instead of recomputing.
-//   unit_fill   — v6: push a unit artifact under K (with its boundary
-//                 label) into the receiver's unit cache (replication after
-//                 a fresh per-unit compute).
+//   unit_fill   — push a unit artifact under K (with its boundary label)
+//                 into the receiver's unit cache (replication after a
+//                 fresh per-unit compute).
 //   forward     — a coordinator-wrapped compile/run: same payload fields
 //                 plus the wrapped type and the routing attempt counter.
 //                 Workers must never re-forward (no routing loops).
 //
-// Responses carry the echoed id and a `"status"`:
+// Responses carry the echoed id and a status:
 //
 //   ok                  — per-type payload (result / run / metrics / hello
 //                         / peers / probe outcome)
@@ -54,11 +53,9 @@
 //                         NOT accepted, retry later
 //   deadline_exceeded   — accepted, but not finished within the deadline;
 //                         the result was discarded
-//   unsupported_version — the request's "v" is outside the server's
-//                         supported range (or a v3-only type arrived under
-//                         an older version). Structured and non-fatal: the
-//                         connection stays open so the client can fall back
-//                         after a `hello`.
+//   unsupported_version — the request's version is not kProtocolVersion.
+//                         Structured and non-fatal: the connection stays
+//                         open.
 //   worker_lost         — fleet only: every routable worker for the shard
 //                         failed mid-request (transport errors after
 //                         bounded retry/failover); safe to retry
@@ -67,11 +64,15 @@
 //                         sending it (the stream cannot be resynchronized)
 //
 // Options encodings are total: every PipelineOptions and InterpOptions
-// field has a named key, so a compile over the wire is bit-equivalent to
-// an in-process run with the same options (tests/net_e2e_test.cpp holds
+// field is carried, so a compile over the wire is bit-equivalent to an
+// in-process run with the same options (tests/net_e2e_test.cpp holds
 // this as an invariant; tests/dist_e2e_test.cpp extends it across a
-// coordinator hop). Unknown request keys are ignored (forward
-// compatibility); unknown enum strings are errors.
+// coordinator hop).
+//
+// request_to_json/response_to_json render a message as JSON: its
+// human-readable form, and the reference the binary codec's round-trip
+// tests compare against. They are not a wire format: only the schemaless
+// metrics and trace payloads ride inside binary frames as JSON text.
 #pragma once
 
 #include <cstdint>
@@ -85,33 +86,9 @@
 
 namespace ap::net {
 
-// v6: fleet-shared unit artifacts — unit_probe/unit_fill move single
-// pass-boundary snapshots (incr::UnitCache payloads) between workers the
-// way cache_probe/cache_fill move whole results, and compile results
-// carry the per-boundary unit counters (per-pass unit_hits/unit_misses/
-// unit_disk_hits/unit_peer_hits/unit_invalidated plus the request-level
-// disk/peer split).
-// v5: observability plane — request tracing (`"trace": true` asks every
-// hop to record spans; the response carries the assembled span tree, and
-// the minted `trace_id` propagates on forward/cache_probe/cache_fill so
-// fleet hops correlate), the `stats` request (live ServerStats +
-// latency-histogram summaries from a running daemon, answered on the
-// loop thread without draining), and heartbeat-carried histogram
-// summaries (WorkerLoad.hist) the coordinator merges into fleet-wide
-// quantiles.
-// v4: negotiated binary TLV codec (src/net/binproto.h — same message set,
-// bit-identical round-trip against this JSON codec), request pipelining
-// over one connection (ids were always echoed; v4 makes out-of-order
-// responses an explicit contract), and `compile_batch` (N files per
-// frame, answered as one frame).
-// v3: fleet control plane (register/heartbeat/cache_probe/cache_fill/
-// forward), hello negotiation, unsupported_version + worker_lost statuses.
-// v2: per-pass timing records replace the fixed timing fields in compile
-// results; pipeline options gained stop_after/print_after.
-inline constexpr int kProtocolVersion = 6;
-// v1 request bodies decode identically to v2 (absent fields keep their
-// defaults), so the full historical range stays accepted.
-inline constexpr int kMinProtocolVersion = 1;
+// The one protocol version. A request claiming any other version draws
+// `unsupported_version`; `hello` is answered regardless.
+inline constexpr int kProtocolVersion = 7;
 
 enum class RequestType : uint8_t {
   Compile,
@@ -124,29 +101,11 @@ enum class RequestType : uint8_t {
   CacheProbe,
   CacheFill,
   Forward,
-  CompileBatch,
   Stats,
   UnitProbe,
   UnitFill,
 };
 const char* request_type_name(RequestType t);
-
-// True for the v3 fleet control-plane types (register/heartbeat/probe/
-// fill/forward): requests of these types under an older claimed version
-// draw `unsupported_version`.
-bool request_type_requires_v3(RequestType t);
-
-// True for the v4 types (compile_batch): older claimed versions draw
-// `unsupported_version`.
-bool request_type_requires_v4(RequestType t);
-
-// True for the v5 types (stats): older claimed versions draw
-// `unsupported_version`.
-bool request_type_requires_v5(RequestType t);
-
-// True for the v6 types (unit_probe/unit_fill): older claimed versions
-// draw `unsupported_version`.
-bool request_type_requires_v6(RequestType t);
 
 enum class Status : uint8_t {
   Ok,
@@ -182,7 +141,7 @@ struct WorkerLoad {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t peer_hits = 0;    // misses answered by the peer tier instead
-  // v5: this worker's latency-histogram summaries, as the compact
+  // This worker's latency-histogram summaries, as the compact
   // obs::encode_histogram_set text ("" = none reported). The coordinator
   // merges these into fleet-wide quantiles.
   std::string hist;
@@ -190,32 +149,16 @@ struct WorkerLoad {
 
 // Hello response payload: what the server speaks and what it is.
 struct HelloInfo {
-  int min_version = kMinProtocolVersion;
-  int max_version = kProtocolVersion;
+  int version = kProtocolVersion;
   std::string role = "single";  // "single" | "coordinator" | "worker"
   bool draining = false;
-  // The server accepts v4 binary TLV frames (binproto.h) interleaved with
-  // JSON frames on the same connection. Clients switch codecs only after
-  // seeing this (or max_version >= 4) in a hello.
-  bool binary = false;
-};
-
-// One file of a `compile_batch` request: the same payload fields a
-// standalone compile carries.
-struct BatchItem {
-  std::string name;
-  std::string source;
-  std::string annotations;
-  driver::PipelineOptions options;
 };
 
 struct Request {
   RequestType type = RequestType::Ping;
   int64_t id = 0;
-  // The version the sender claimed ("v"). Encoders stamp this value (a
-  // v3 client is simulated by setting it below kProtocolVersion);
-  // decoders accept the full supported range and preserve the claim so
-  // servers can gate v3-/v4-only types.
+  // The version the sender claimed. Decoders preserve it so the server
+  // can answer a mismatch with `unsupported_version`.
   int version = kProtocolVersion;
   std::string name;         // display label (app name); not semantic
   std::string source;       // F77-subset program text
@@ -226,26 +169,21 @@ struct Request {
   // --request-timeout-ms default.
   int64_t deadline_ms = 0;
 
-  // --- v3 fleet fields ---
+  // --- fleet fields ---
   WorkerInfo worker;    // register, heartbeat
   WorkerLoad load;      // heartbeat
   bool leaving = false; // heartbeat: graceful departure announcement
   std::string key;      // cache_probe, cache_fill, unit_probe/fill (hex)
   std::string payload;  // cache_fill / unit_fill: serialized payload
-
-  // --- v6 fields ---
   // unit_fill: the snapshotting pass's name ("normalize", "parallelize")
   // — the receiver's stats bucket for the adopted artifact.
   std::string boundary;
-  // forward: the wrapped request type (Compile, Run, or CompileBatch)
-  // and the coordinator's 0-based routing attempt for this request.
+  // forward: the wrapped request type (Compile or Run) and the
+  // coordinator's 0-based routing attempt for this request.
   RequestType inner = RequestType::Compile;
   int attempt = 0;
 
-  // --- v4 fields ---
-  std::vector<BatchItem> batch;  // compile_batch: N files in one frame
-
-  // --- v5 fields ---
+  // --- tracing ---
   // Ask every hop to record spans; the response's `trace` carries the
   // assembled tree. The serving core mints `trace_id` at admission when
   // the client left it 0; internal hops (forward/cache_probe/cache_fill)
@@ -280,12 +218,11 @@ struct Response {
 
   json::Value metrics;  // metrics and stats responses (object); null otherwise
 
-  // --- v5 fields ---
   // Traced requests: the span tree (obs::span_to_json form) assembled by
   // the answering server; null when the request was not traced.
   json::Value trace;
 
-  // --- v3 fleet fields ---
+  // --- fleet fields ---
   bool has_hello = false;
   HelloInfo hello;  // hello responses
 
@@ -294,29 +231,16 @@ struct Response {
 
   bool has_peers = false;
   std::vector<WorkerInfo> peers;  // register/heartbeat: routable peers
-
-  // --- v4 fields ---
-  bool has_batch = false;
-  // compile_batch: results[i] answers batch[i] (per-item failures are
-  // carried in CompileResult::ok/error; the frame status stays ok).
-  std::vector<service::CompileResult> batch;
 };
 
-// Options <-> JSON (every field, round-trip exact).
-json::Value pipeline_options_to_json(const driver::PipelineOptions& o);
-bool pipeline_options_from_json(const json::Value& v,
-                                driver::PipelineOptions* out,
-                                std::string* err);
-json::Value interp_options_to_json(const interp::InterpOptions& o);
-bool interp_options_from_json(const json::Value& v,
-                              interp::InterpOptions* out, std::string* err);
+// Payload shape shared by the codec and the renderer: compile and run
+// requests (and forwards of them) carry source, annotations, options and
+// deadline; run requests (and forwards of them) also carry InterpOptions.
+bool carries_compile_payload(const Request& r);
+bool carries_interp_options(const Request& r);
 
-// Messages <-> JSON. The *_from_json decoders validate kinds and enum
-// strings and never throw; on failure they return false with *err set.
+// JSON renderings (every field). Not a wire format: see the file comment.
 json::Value request_to_json(const Request& r);
-bool request_from_json(const json::Value& v, Request* out, std::string* err);
 json::Value response_to_json(const Response& r);
-bool response_from_json(const json::Value& v, Response* out,
-                        std::string* err);
 
 }  // namespace ap::net

@@ -1,12 +1,8 @@
 #include "net/server.h"
 
-#ifdef AP_NET_USE_POLL
-#include <poll.h>
-#else
-#include <sys/epoll.h>
-#endif
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,12 +25,10 @@ constexpr char kWakeDrain = 'q';
 constexpr char kWakeNudge = 'n';
 constexpr char kWakeDump = 'u';  // SIGUSR1 hook: dump the flight recorder
 
-#ifndef AP_NET_USE_POLL
 // epoll_event.data.u64 tags: connection ids start at 1, so these two
 // sentinels can never collide with one.
 constexpr uint64_t kWakeTag = 0;
 constexpr uint64_t kListenTag = UINT64_MAX;
-#endif
 
 double ms_since(clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
@@ -88,7 +82,6 @@ bool Server::start(std::string* err) {
   set_nonblocking(wake_r_);
   set_nonblocking(wake_w_);
 
-#ifndef AP_NET_USE_POLL
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) {
     if (err) *err = "epoll_create1 failed";
@@ -105,7 +98,6 @@ bool Server::start(std::string* err) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_r_, &ev);
   ev.data.u64 = kListenTag;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-#endif
 
   started_ = true;
   for (int i = 0; i < opts_.threads; ++i)
@@ -165,18 +157,13 @@ int64_t Server::jobs_running() const {
 void Server::loop_main() {
   clock::time_point drain_deadline = clock::time_point::max();
 
-  // Normalized readiness, shared by the epoll and poll paths.
+  // Connection readiness, copied out of the epoll batch.
   struct Ready {
     uint64_t id;
     bool readable, writable, errored;
   };
   std::vector<Ready> ready;
-#ifdef AP_NET_USE_POLL
-  std::vector<pollfd> fds;
-  std::vector<uint64_t> fd_conn;  // conn id per pollfd slot (0 = not a conn)
-#else
   std::array<epoll_event, 128> events;
-#endif
 
   while (true) {
     // Wait timeout: nearest deadline (request or drain), else idle tick.
@@ -210,43 +197,6 @@ void Server::loop_main() {
     bool accept_ready = false;
     ready.clear();
 
-#ifdef AP_NET_USE_POLL
-    fds.clear();
-    fd_conn.clear();
-    fds.push_back({wake_r_, POLLIN, 0});
-    fd_conn.push_back(0);
-    size_t listen_slot = 0;
-    if (!draining_.load() && listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-      fd_conn.push_back(0);
-      listen_slot = fds.size() - 1;
-    }
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto& [id, conn] : conns_) {
-        short want = 0;
-        if (!conn->closing) want |= POLLIN;
-        {
-          std::lock_guard<std::mutex> out_lock(conn->out_mu);
-          if (conn->out_bytes() > 0) want |= POLLOUT;
-        }
-        if (want == 0) want = POLLERR;  // still watch for hangup
-        fds.push_back({conn->fd, want, 0});
-        fd_conn.push_back(id);
-      }
-    }
-    ::poll(fds.data(), fds.size(), timeout_ms);
-    wake_ready = (fds[0].revents & POLLIN) != 0;
-    accept_ready =
-        listen_slot != 0 && (fds[listen_slot].revents & POLLIN) != 0;
-    for (size_t i = 0; i < fds.size(); ++i) {
-      if (fd_conn[i] == 0 || fds[i].revents == 0) continue;
-      short re = fds[i].revents;
-      ready.push_back({fd_conn[i], (re & (POLLIN | POLLHUP)) != 0,
-                       (re & POLLOUT) != 0,
-                       (re & (POLLERR | POLLNVAL)) != 0});
-    }
-#else
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), timeout_ms);
     for (int i = 0; i < n; ++i) {
@@ -261,7 +211,6 @@ void Server::loop_main() {
                          (ev & EPOLLOUT) != 0, (ev & EPOLLERR) != 0});
       }
     }
-#endif
     now = clock::now();
 
     // Wake pipe: drain any pending bytes; 'q' starts the drain, 'u' dumps
@@ -317,8 +266,8 @@ void Server::loop_main() {
 
     // Opportunistic flush: handlers above may have queued responses on
     // connections that signaled readable but not writable this round.
-    // Under epoll this pass also reconciles each connection's interest
-    // mask (EPOLL_CTL_MOD only on change).
+    // This pass also reconciles each connection's interest mask
+    // (EPOLL_CTL_MOD only on change).
     {
       std::vector<std::shared_ptr<Connection>> all;
       {
@@ -380,20 +329,17 @@ void Server::accept_new_connections() {
       conn->id = next_conn_id_++;
       conns_[conn->id] = conn;
     }
-#ifndef AP_NET_USE_POLL
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = conn->id;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     conn->epoll_mask = EPOLLIN;
-#endif
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.connections;
   }
 }
 
 void Server::update_interest(const std::shared_ptr<Connection>& conn) {
-#ifndef AP_NET_USE_POLL
   if (epoll_fd_ < 0 || conn->fd < 0) return;
   uint32_t want = conn->closing ? 0u : static_cast<uint32_t>(EPOLLIN);
   {
@@ -406,9 +352,6 @@ void Server::update_interest(const std::shared_ptr<Connection>& conn) {
   ev.data.u64 = conn->id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
   conn->epoll_mask = want;
-#else
-  (void)conn;  // poll interest is rebuilt from scratch each round
-#endif
 }
 
 void Server::read_connection(const std::shared_ptr<Connection>& conn) {
@@ -440,7 +383,7 @@ void Server::read_connection(const std::shared_ptr<Connection>& conn) {
     Response resp;
     resp.status = Status::ProtocolError;
     resp.error = conn->reader.error_message();
-    enqueue_response(conn, resp, false);
+    enqueue_response(conn, resp);
     conn->closing = true;
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.protocol_errors;
@@ -448,174 +391,45 @@ void Server::read_connection(const std::shared_ptr<Connection>& conn) {
 }
 
 void Server::enqueue_response(const std::shared_ptr<Connection>& conn,
-                              const Response& resp, bool binary) {
-  if (binary) {
-    bool sample;
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      sample = (binary_reply_tick_++ % kBytesSavedSampleStride) == 0;
-    }
-    size_t bin_payload;
-    {
-      std::lock_guard<std::mutex> out_lock(conn->out_mu);
-      size_t hdr = begin_frame(&conn->out_back);
-      encode_response_binary(resp, &conn->out_back);
-      end_frame(&conn->out_back, hdr);
-      bin_payload = conn->out_back.size() - hdr - 4;
-    }
-    if (sample) {
-      // The comparison JSON-encodes the whole response, so it is sampled
-      // sparsely — it must not tax the warm fast path it is measuring.
-      size_t json_payload = response_to_json(resp).dump().size();
-      if (json_payload > bin_payload) {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        stats_.bytes_saved_vs_json +=
-            (json_payload - bin_payload) * kBytesSavedSampleStride;
-      }
-    }
-  } else {
-    std::string payload = response_to_json(resp).dump();
-    std::lock_guard<std::mutex> out_lock(conn->out_mu);
-    append_frame(&conn->out_back, payload);
-  }
+                              const Response& resp) {
+  std::lock_guard<std::mutex> out_lock(conn->out_mu);
+  size_t hdr = begin_frame(&conn->out_back);
+  encode_response_binary(resp, &conn->out_back);
+  end_frame(&conn->out_back, hdr);
 }
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn,
                           std::string_view payload) {
   const auto t_frame = clock::now();
-  // Codec dispatch: binary TLV frames open with 0xB4, JSON with '{'.
-  // The reply always travels in the codec its request arrived in.
-  const bool bin = is_binary_frame(payload);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (bin)
-      ++stats_.binary_requests;
-    else
-      ++stats_.json_requests;
-  }
 
-  auto reply = [&](const Response& resp) {
-    enqueue_response(conn, resp, bin);
-  };
+  auto reply = [&](const Response& resp) { enqueue_response(conn, resp); };
 
-  auto hello_reply = [&](int64_t id) {
-    Response resp;
-    resp.id = id;
-    resp.has_hello = true;
-    resp.hello.min_version = kMinProtocolVersion;
-    resp.hello.max_version = kProtocolVersion;
-    resp.hello.role = opts_.role;
-    resp.hello.draining = draining_.load();
-    resp.hello.binary = true;
-    reply(resp);
-  };
-
-  auto protocol_error = [&](std::string why) {
+  // A payload that is not a binary request (wrong magic, truncated or
+  // malformed fields) cannot be answered per request: protocol_error,
+  // then close.
+  Request req;
+  std::string decode_err;
+  if (!decode_request_binary(payload, &req, &decode_err)) {
     Response resp;
     resp.status = Status::ProtocolError;
-    resp.error = std::move(why);
+    resp.error = std::move(decode_err);
     reply(resp);
     conn->closing = true;
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.protocol_errors;
-  };
+    return;
+  }
 
-  auto unsupported = [&](int64_t id, std::string why) {
+  // `hello` is answered for any claimed version; every other request must
+  // claim kProtocolVersion. A mismatch is structured and non-fatal.
+  if (req.type != RequestType::Hello && req.version != kProtocolVersion) {
     Response resp;
-    resp.id = id;
+    resp.id = req.id;
     resp.status = Status::UnsupportedVersion;
-    resp.error = std::move(why);
+    resp.error = "protocol version " + std::to_string(req.version) +
+                 " not supported; this server speaks v" +
+                 std::to_string(kProtocolVersion) + " (send `hello`)";
     reply(resp);
-  };
-
-  Request req;
-  if (bin) {
-    // The binary decoder validates structure but not the version range,
-    // so an out-of-range claim can still draw the structured non-fatal
-    // `unsupported_version` (same contract as JSON).
-    std::string decode_err;
-    if (!decode_request_binary(payload, &req, &decode_err)) {
-      protocol_error(std::move(decode_err));
-      return;
-    }
-    if (req.type == RequestType::Hello) {
-      hello_reply(req.id);
-      return;
-    }
-    if (req.version < kMinProtocolVersion || req.version > kProtocolVersion) {
-      unsupported(req.id, "protocol version " + std::to_string(req.version) +
-                              " outside supported range [" +
-                              std::to_string(kMinProtocolVersion) + ", " +
-                              std::to_string(kProtocolVersion) +
-                              "]; send `hello`");
-      return;
-    }
-  } else {
-    std::string parse_err;
-    auto doc = json::parse(payload, &parse_err);
-    if (!doc || !doc->is_object()) {
-      protocol_error(doc ? "request must be a JSON object"
-                         : "malformed JSON payload: " + parse_err);
-      return;
-    }
-
-    // Negotiation happens before strict decoding: a `hello` is answered
-    // for ANY claimed version, and an out-of-range version draws a
-    // structured `unsupported_version` (connection stays open) rather
-    // than the fatal `protocol_error` path.
-    const json::Value* type_field = doc->find("type");
-    if (type_field && type_field->is_string() &&
-        type_field->as_string() == "hello") {
-      const json::Value* idf = doc->find("id");
-      hello_reply(idf ? idf->as_int() : 0);
-      return;
-    }
-    const json::Value* vf = doc->find("v");
-    int claimed = vf ? static_cast<int>(vf->as_int()) : kProtocolVersion;
-    if (claimed < kMinProtocolVersion || claimed > kProtocolVersion) {
-      const json::Value* idf = doc->find("id");
-      unsupported(idf ? idf->as_int() : 0,
-                  "protocol version " + std::to_string(claimed) +
-                      " outside supported range [" +
-                      std::to_string(kMinProtocolVersion) + ", " +
-                      std::to_string(kProtocolVersion) + "]; send `hello`");
-      return;
-    }
-
-    std::string decode_err;
-    if (!request_from_json(*doc, &req, &decode_err)) {
-      protocol_error(std::move(decode_err));
-      return;
-    }
-  }
-
-  if (request_type_requires_v3(req.type) && req.version < 3) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            " requires protocol v3 (request claimed v" +
-                            std::to_string(req.version) + ")");
-    return;
-  }
-  if ((request_type_requires_v4(req.type) ||
-       (req.type == RequestType::Forward &&
-        req.inner == RequestType::CompileBatch)) &&
-      req.version < 4) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            (req.type == RequestType::Forward ? " of compile_batch"
-                                                              : "") +
-                            " requires protocol v4 (request claimed v" +
-                            std::to_string(req.version) + ")");
-    return;
-  }
-  if (request_type_requires_v5(req.type) && req.version < 5) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            " requires protocol v5 (request claimed v" +
-                            std::to_string(req.version) + ")");
-    return;
-  }
-  if (request_type_requires_v6(req.type) && req.version < 6) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            " requires protocol v6 (request claimed v" +
-                            std::to_string(req.version) + ")");
     return;
   }
 
@@ -628,7 +442,12 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       return;
     }
     case RequestType::Hello: {
-      hello_reply(req.id);
+      Response resp;
+      resp.id = req.id;
+      resp.has_hello = true;
+      resp.hello.role = opts_.role;
+      resp.hello.draining = draining_.load();
+      reply(resp);
       return;
     }
     case RequestType::Metrics: {
@@ -683,8 +502,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     }
     case RequestType::Compile:
     case RequestType::Run:
-    case RequestType::Forward:
-    case RequestType::CompileBatch: {
+    case RequestType::Forward: {
       if (draining_.load()) {
         Response resp;
         resp.id = req.id;
@@ -703,9 +521,9 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       // Warm-hit fast path: a compile whose result already sits in the
       // memory cache is answered inline — no queue hop, no worker
       // wake-up, no per-frame allocation. Only pure compiles qualify
-      // (runs execute, batches fan out, a pluggable executor owns its
-      // own routing), and only the memory tier is probed so the loop
-      // thread never blocks on disk.
+      // (runs execute, a pluggable executor owns its own routing), and
+      // only the memory tier is probed so the loop thread never blocks
+      // on disk.
       if (!opts_.executor && opts_.scheduler) {
         RequestType effective =
             req.type == RequestType::Forward ? req.inner : req.type;
@@ -758,7 +576,6 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       }
       auto job = std::make_shared<JobState>();
       job->conn_id = conn->id;
-      job->binary = bin;
       int64_t timeout = req.deadline_ms > 0 ? req.deadline_ms
                                             : opts_.request_timeout_ms;
       job->deadline = timeout > 0
@@ -862,9 +679,7 @@ void Server::close_connection(uint64_t conn_id) {
     conn = it->second;
     conns_.erase(it);
   }
-#ifndef AP_NET_USE_POLL
   if (epoll_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-#endif
   ::close(conn->fd);
   conn->fd = -1;
 }
@@ -892,7 +707,7 @@ void Server::sweep_deadlines(clock::time_point now) {
       resp.id = job->req.id;
       resp.status = Status::DeadlineExceeded;
       resp.error = "request missed its deadline";
-      deliver(job->conn_id, resp, job->binary);
+      deliver(job->conn_id, resp);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.timed_out;
     }
@@ -950,13 +765,7 @@ json::Value Server::build_metrics() const {
       .set("protocol_errors", ss.protocol_errors)
       .set("idle_closed", ss.idle_closed)
       .set("queue_depth_peak", ss.queue_depth_peak)
-      .set("json_requests", ss.json_requests)
-      .set("binary_requests", ss.binary_requests)
       .set("pipeline_depth_peak", ss.pipeline_depth_peak)
-      .set("bytes_saved_vs_json", ss.bytes_saved_vs_json)
-      .set("batches", ss.batches)
-      .set("batch_items", ss.batch_items)
-      .set("batch_max", ss.batch_max)
       .set("role", opts_.role)
       .set("draining", draining_.load());
   out.set("server", std::move(server));
@@ -1058,7 +867,7 @@ uint64_t Server::mint_trace_id() {
   return x ? x : 1;  // 0 means "untraced" on the wire
 }
 
-bool Server::deliver(uint64_t conn_id, const Response& resp, bool binary) {
+bool Server::deliver(uint64_t conn_id, const Response& resp) {
   std::shared_ptr<Connection> conn;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -1066,7 +875,7 @@ bool Server::deliver(uint64_t conn_id, const Response& resp, bool binary) {
     if (it == conns_.end()) return false;  // client went away
     conn = it->second;
   }
-  enqueue_response(conn, resp, binary);
+  enqueue_response(conn, resp);
   conn->last_activity_ms.store(steady_ms());
   conn->inflight.fetch_sub(1);  // exactly one deliver per admitted job
   nudge();
@@ -1125,8 +934,8 @@ void Server::worker_main() {
         traces_.record(job->req.trace_id, resp.trace);
       }
       record_latency(job->req.type, wall);
-      // Cache-outcome histograms are a compile-path concept; runs and
-      // batches would skew them.
+      // Cache-outcome histograms are a compile-path concept; runs would
+      // skew them.
       RequestType eff = job->req.type == RequestType::Forward
                             ? job->req.inner
                             : job->req.type;
@@ -1143,7 +952,7 @@ void Server::worker_main() {
           std::lock_guard<std::mutex> lock(stats_mu_);
           ++stats_.completed;
         }
-        deliver(job->conn_id, resp, job->binary);
+        deliver(job->conn_id, resp);
       }
       // else: abandoned mid-run — the loop already answered
       // deadline_exceeded; this result is discarded.
@@ -1165,60 +974,14 @@ Response Server::execute(const Request& req, std::vector<obs::Span>* spans) {
     return resp;
   }
 
-  // A forward is the coordinator-wrapped form of compile/run/batch;
-  // unwrap it and serve the inner request locally (workers never
-  // re-forward).
+  // A forward is the coordinator-wrapped form of compile/run; unwrap it
+  // and serve the inner request locally (workers never re-forward).
   RequestType effective =
       req.type == RequestType::Forward ? req.inner : req.type;
 
   Response resp;
   resp.id = req.id;
   try {
-    if (effective == RequestType::CompileBatch) {
-      // One frame, N files: each item runs through the cache-aware
-      // scheduler on this lane (run_batch's pool is single-batch, and
-      // other lanes keep serving other connections meanwhile). Per-item
-      // failures stay in their CompileResult; the frame itself is ok.
-      resp.has_batch = true;
-      resp.batch.reserve(req.batch.size());
-      for (const auto& item : req.batch) {
-        service::CompileJob job;
-        job.app.name = item.name.empty() ? "WIRE" : item.name;
-        job.app.source = item.source;
-        job.app.annotations = item.annotations;
-        job.opts = item.options;
-        auto t0 = clock::now();
-        obs::Span item_span{"item", job.app.name, 0, {}};
-        service::CompileResult r = opts_.scheduler->run_one(
-            job, spans ? &item_span : nullptr, req.trace_id);
-        if (spans) {
-          item_span.wall_ms = ms_since(t0);
-          spans->push_back(std::move(item_span));
-        }
-        if (opts_.telemetry) {
-          service::JobRecord rec;
-          rec.app = job.app.name;
-          rec.config = driver::config_name(job.opts.config);
-          rec.ok = r.ok;
-          rec.cache_hit = r.cache_hit;
-          rec.wall_ms = ms_since(t0);
-          rec.dep_tests = r.dep_tests;
-          rec.dep_tests_unique = r.dep_tests_unique;
-          rec.parallel_loops = r.parallel_loops.size();
-          rec.code_lines = r.code_lines;
-          if (!r.cache_hit) rec.timings = r.timings;
-          opts_.telemetry->record_job(rec);
-        }
-        resp.batch.push_back(std::move(r));
-      }
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.batches;
-      stats_.batch_items += req.batch.size();
-      stats_.batch_max = std::max(stats_.batch_max,
-                                  static_cast<uint64_t>(req.batch.size()));
-      return resp;
-    }
-
     service::CompileJob job;
     job.app.name = req.name.empty() ? "WIRE" : req.name;
     job.app.source = req.source;

@@ -1,11 +1,6 @@
 // The apserved serving core: an epoll(7)-based event loop over
 // nonblocking loopback TCP sockets, speaking the length-prefixed protocol
-// of protocol.h in either codec — JSON (v1–v4) or binary TLV (v4,
-// binproto.h), dispatched per frame by the payload's first byte and
-// answered in the codec each request arrived in. Building with
-// -DANNOPAR_NET_POLL=ON swaps the readiness mechanism back to poll(2)
-// for platforms without epoll; everything above the readiness layer is
-// shared.
+// of protocol.h in the binary TLV codec (binproto.h).
 //
 // Threading model
 //   One event-loop thread owns all socket I/O: accepting, reading frames,
@@ -20,10 +15,8 @@
 // Pipelining
 //   Clients may submit any number of requests back to back on one
 //   connection; each admitted request is answered with a frame carrying
-//   its echoed id, in completion order (out-of-order responses are the
-//   v4 contract — they always were possible, v4 just names it). A
-//   `compile_batch` request carries N files in one frame and is answered
-//   as one frame of N results.
+//   its echoed id, in completion order (responses may overtake each
+//   other).
 //
 // Hot-path memory discipline
 //   Per-connection buffers are reused end to end: the FrameReader
@@ -44,11 +37,11 @@
 //   - Deadlines are enforced by the event loop: a request that misses its
 //     deadline is answered `deadline_exceeded` right then; whatever a
 //     worker later computes for it is discarded.
-//   - A malformed or oversized frame draws a `protocol_error` response and
-//     the connection is closed (the stream cannot be resynchronized). A
-//     request claiming an unsupported protocol version draws a structured
-//     `unsupported_version` response and the connection STAYS open — the
-//     client can `hello` and fall back.
+//   - A malformed or oversized frame, or any payload that is not a binary
+//     request, draws a `protocol_error` response and the connection is
+//     closed (the stream cannot be resynchronized). A request claiming a
+//     version other than kProtocolVersion draws a structured
+//     `unsupported_version` response and the connection STAYS open.
 //   - Idle reaping: a connection with no socket activity, no in-flight
 //     work, and an empty outbox for `idle_timeout_ms` is closed by the
 //     loop, so a silent or half-open peer cannot pin an fd forever.
@@ -181,7 +174,6 @@ class Server {
   struct JobState {
     Request req;
     uint64_t conn_id = 0;
-    bool binary = false;  // reply in the codec the request arrived in
     std::chrono::steady_clock::time_point deadline;  // max() = none
     // Admission time: the queue span (admit → worker pickup) and the
     // request's total wall both measure from here.
@@ -243,15 +235,14 @@ class Server {
   // fleet entry point); forwarded hops keep the id they were handed.
   uint64_t mint_trace_id();
 
-  // Encodes `resp` in the connection's reply codec directly into its
-  // output buffer (with the sampled bytes-saved estimate for binary
-  // replies). Callable from any thread.
+  // Encodes `resp` directly into the connection's output buffer.
+  // Callable from any thread.
   void enqueue_response(const std::shared_ptr<Connection>& conn,
-                        const Response& resp, bool binary);
+                        const Response& resp);
 
   // Any thread: queue an encoded response on a live connection and nudge
   // the loop. False when the connection is gone.
-  bool deliver(uint64_t conn_id, const Response& resp, bool binary);
+  bool deliver(uint64_t conn_id, const Response& resp);
   void nudge();
 
   // Worker thread: execute one admitted request. When the request is
@@ -260,7 +251,7 @@ class Server {
 
   ServerOptions opts_;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;  // unused (-1) under the poll fallback
+  int epoll_fd_ = -1;
   int wake_r_ = -1, wake_w_ = -1;
   int port_ = 0;
   bool started_ = false;
@@ -286,12 +277,6 @@ class Server {
 
   mutable std::mutex stats_mu_;
   service::ServerStats stats_;
-  // Sampling for the bytes_saved_vs_json estimate: one binary reply per
-  // stride is also JSON-encoded and the delta extrapolated, so the stat
-  // costs a fraction of one codec, not 100% — the JSON encode runs on
-  // the event-loop thread, inside the warm fast path it is measuring.
-  static constexpr uint64_t kBytesSavedSampleStride = 256;
-  uint64_t binary_reply_tick_ = 0;
 
   // Latency plane: lock-cheap log-bucketed histograms, one per request
   // type plus one per cache outcome. Indexed by RequestType value.

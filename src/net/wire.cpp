@@ -24,13 +24,6 @@ void patch_be32(char* p, uint32_t n) {
 
 }  // namespace
 
-std::string encode_frame(std::string_view payload) {
-  std::string out;
-  out.reserve(4 + payload.size());
-  append_frame(&out, payload);
-  return out;
-}
-
 size_t begin_frame(std::string* out) {
   size_t pos = out->size();
   out->append(4, '\0');
@@ -42,11 +35,12 @@ void end_frame(std::string* out, size_t header_pos) {
   patch_be32(out->data() + header_pos, n);
 }
 
-void append_frame(std::string* out, std::string_view payload) {
-  char hdr[4];
-  patch_be32(hdr, static_cast<uint32_t>(payload.size()));
-  out->append(hdr, 4);
-  out->append(payload.data(), payload.size());
+std::string encode_frame(std::string_view payload) {
+  std::string out;
+  size_t hdr = begin_frame(&out);
+  out.append(payload.data(), payload.size());
+  end_frame(&out, hdr);
+  return out;
 }
 
 void FrameReader::feed(const char* data, size_t n) {

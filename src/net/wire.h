@@ -2,14 +2,12 @@
 //
 // Every message — request or response — travels as one frame:
 //
-//   +----------------------------+----------------------+
-//   | 4-byte big-endian length N | N bytes JSON payload |
-//   +----------------------------+----------------------+
+//   +----------------------------+--------------------------------+
+//   | 4-byte big-endian length N | N bytes binary TLV payload     |
+//   +----------------------------+--------------------------------+
 //
-// The length counts payload bytes only. The payload is one JSON document
-// (v1–v3, and v4 peers that stayed on JSON) or one binary TLV message
-// (v4, first byte 0xB4 — see binproto.h); the codec is dispatched per
-// frame by that first byte. A length prefix larger than the receiver's
+// The length counts payload bytes only. The payload is one binary TLV
+// message (binproto.h). A length prefix larger than the receiver's
 // configured maximum is a protocol error: the receiver answers with a
 // `protocol_error` response and closes the connection (it cannot
 // resynchronize inside an untrusted stream). FrameReader is the
@@ -49,10 +47,6 @@ std::string encode_frame(std::string_view payload);
 // output buffer with no intermediate payload string.
 size_t begin_frame(std::string* out);
 void end_frame(std::string* out, size_t header_pos);
-
-// Appends prefix + payload to *out (the reusable-buffer form of
-// encode_frame).
-void append_frame(std::string* out, std::string_view payload);
 
 class FrameReader {
  public:

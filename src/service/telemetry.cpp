@@ -212,13 +212,8 @@ std::string Telemetry::to_json() const {
       << ", \"protocol_errors\": " << server_.protocol_errors
       << ", \"idle_closed\": " << server_.idle_closed
       << ", \"queue_depth_peak\": " << server_.queue_depth_peak
-      << ", \"json_requests\": " << server_.json_requests
-      << ", \"binary_requests\": " << server_.binary_requests
       << ", \"pipeline_depth_peak\": " << server_.pipeline_depth_peak
-      << ", \"bytes_saved_vs_json\": " << server_.bytes_saved_vs_json
-      << ", \"batches\": " << server_.batches
-      << ", \"batch_items\": " << server_.batch_items
-      << ", \"batch_max\": " << server_.batch_max << "},\n";
+      << "},\n";
   }
   if (has_peer_cache_) {
     s << "  \"peer_cache\": {\"probes_sent\": " << peer_cache_.probes_sent

@@ -66,20 +66,9 @@ struct ServerStats {
   uint64_t protocol_errors = 0;    // malformed or oversized frames
   uint64_t idle_closed = 0;        // connections reaped by the idle sweep
   int64_t queue_depth_peak = 0;    // admission-queue high-water mark
-  // v4 serving-path counters.
-  uint64_t json_requests = 0;      // frames decoded from the JSON codec
-  uint64_t binary_requests = 0;    // frames decoded from the binary codec
   // Largest number of requests in flight on any single connection —
   // the observed pipelining depth.
   int64_t pipeline_depth_peak = 0;
-  // Estimated bytes the binary codec saved vs. encoding the same
-  // responses as JSON. Sampled: one binary reply per
-  // Server::kBytesSavedSampleStride (currently 256) is also JSON-encoded
-  // and the delta extrapolated by the stride.
-  uint64_t bytes_saved_vs_json = 0;
-  uint64_t batches = 0;            // compile_batch requests served
-  uint64_t batch_items = 0;        // files carried by those batches
-  uint64_t batch_max = 0;          // largest single batch
 };
 
 // Counters from the distributed cache tier (src/dist worker): peer probes
@@ -91,7 +80,7 @@ struct PeerCacheStats {
   uint64_t fills_sent = 0;       // replications pushed to peers
   uint64_t fills_received = 0;   // replications accepted from peers
   uint64_t peer_hits = 0;        // local misses served from the peer tier
-  // Unit-artifact tier (wire v6 unit_probe/unit_fill): same shape, one
+  // Unit-artifact tier (unit_probe/unit_fill): same shape, one
   // level down — per-unit pass snapshots instead of whole results.
   uint64_t unit_probes_sent = 0;
   uint64_t unit_probe_hits = 0;

@@ -159,12 +159,11 @@ TEST(NetE2E, PipelinedBinaryMatrixMatchesInProcess) {
 
   auto jobs = service::suite_matrix();
 
-  // The whole matrix down ONE connection, binary codec, 8 requests deep.
+  // The whole matrix down ONE connection, 8 requests deep.
   // Responses may return out of order; ids re-associate them.
   net::Client client;
   ASSERT_TRUE(client.connect(server.port(), &err, 120'000)) << err;
   ASSERT_TRUE(client.negotiate(&err)) << err;
-  ASSERT_TRUE(client.binary());
 
   std::vector<net::Response> responses(jobs.size());
   std::unordered_map<int64_t, size_t> inflight;
@@ -201,69 +200,8 @@ TEST(NetE2E, PipelinedBinaryMatrixMatchesInProcess) {
   server.wait();
   service::ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, stats.completed);
-  EXPECT_GE(stats.binary_requests, jobs.size());
+  EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_GE(stats.pipeline_depth_peak, 2);
-}
-
-TEST(NetE2E, CompileBatchMatrixMatchesInProcess) {
-  service::ResultCache cache(64);
-  service::Scheduler::Options so;
-  so.threads = 2;
-  so.cache = &cache;
-  service::Scheduler scheduler(so);
-  net::ServerOptions nopts;
-  nopts.threads = 2;
-  nopts.scheduler = &scheduler;
-  nopts.request_timeout_ms = 120'000;
-  net::Server server(nopts);
-  std::string err;
-  ASSERT_TRUE(server.start(&err)) << err;
-
-  auto jobs = service::suite_matrix();
-
-  // The matrix as compile_batch frames of 6 files each: one frame out,
-  // one frame back, results[i] answering batch[i].
-  net::Client client;
-  ASSERT_TRUE(client.connect(server.port(), &err, 120'000)) << err;
-  ASSERT_TRUE(client.negotiate(&err)) << err;
-
-  std::vector<service::CompileResult> wire(jobs.size());
-  constexpr size_t kBatch = 6;
-  for (size_t base = 0; base < jobs.size(); base += kBatch) {
-    net::Request req;
-    req.type = net::RequestType::CompileBatch;
-    size_t n = std::min(kBatch, jobs.size() - base);
-    for (size_t k = 0; k < n; ++k) {
-      net::BatchItem item;
-      item.name = jobs[base + k].app.name;
-      item.source = jobs[base + k].app.source;
-      item.annotations = jobs[base + k].app.annotations;
-      item.options = jobs[base + k].opts;
-      req.batch.push_back(std::move(item));
-    }
-    net::Response resp;
-    ASSERT_TRUE(client.call(std::move(req), &resp, &err)) << err;
-    ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-    ASSERT_TRUE(resp.has_batch);
-    ASSERT_EQ(resp.batch.size(), n);
-    for (size_t k = 0; k < n; ++k) wire[base + k] = resp.batch[k];
-  }
-
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    auto local = service::to_compile_result(
-        driver::run_pipeline(jobs[i].app, jobs[i].opts));
-    EXPECT_EQ(wire[i].ok, local.ok) << jobs[i].app.name;
-    EXPECT_EQ(wire[i].parallel_loops, local.parallel_loops)
-        << jobs[i].app.name;
-    EXPECT_EQ(wire[i].program_text, local.program_text) << jobs[i].app.name;
-  }
-
-  server.begin_drain();
-  server.wait();
-  service::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.batches, (jobs.size() + kBatch - 1) / kBatch);
-  EXPECT_EQ(stats.batch_items, jobs.size());
-  EXPECT_EQ(stats.batch_max, kBatch);
 }
 
 TEST(NetE2E, RunOverWireMatchesInProcessExecution) {

@@ -1,7 +1,7 @@
 // Protocol-hardening tests for the serving layer (src/net): wire framing,
 // options/message round-trips, and a live in-process server driven through
-// hostile inputs — truncated frames, oversized length prefixes, garbage
-// JSON, half-open disconnects, overload, deadlines, drain. The server must
+// hostile inputs — truncated frames, oversized length prefixes, non-binary
+// payloads, half-open disconnects, overload, deadlines, drain. The server must
 // answer with structured errors, never crash, and never leak an fd.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,6 +119,16 @@ driver::PipelineOptions nondefault_pipeline_options() {
   return o;
 }
 
+// Encodes a message with the binary codec and decodes it back.
+bool round_trip(const net::Request& in, net::Request* out, std::string* err) {
+  return net::decode_request_binary(net::encode_request_binary(in), out, err);
+}
+bool round_trip(const net::Response& in, net::Response* out,
+                std::string* err) {
+  return net::decode_response_binary(net::encode_response_binary(in), out,
+                                     err);
+}
+
 TEST(Protocol, RequestRoundTripPreservesEveryField) {
   for (auto type : {net::RequestType::Compile, net::RequestType::Run,
                     net::RequestType::Metrics, net::RequestType::Ping}) {
@@ -137,7 +148,7 @@ TEST(Protocol, RequestRoundTripPreservesEveryField) {
 
     net::Request back;
     std::string err;
-    ASSERT_TRUE(net::request_from_json(net::request_to_json(r), &back, &err))
+    ASSERT_TRUE(round_trip(r, &back, &err))
         << net::request_type_name(type) << ": " << err;
     EXPECT_EQ(back.type, r.type);
     EXPECT_EQ(back.id, r.id);
@@ -194,7 +205,7 @@ TEST(Protocol, ResponseRoundTripEveryStatus) {
 
     net::Response back;
     std::string err;
-    ASSERT_TRUE(net::response_from_json(net::response_to_json(r), &back, &err))
+    ASSERT_TRUE(round_trip(r, &back, &err))
         << net::status_name(status) << ": " << err;
     EXPECT_EQ(back.status, r.status);
     EXPECT_EQ(back.id, r.id);
@@ -227,8 +238,7 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   reg.worker = {"w-42", "127.0.0.1", 9001};
   net::Request back;
   std::string err;
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(reg), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(reg, &back, &err)) << err;
   EXPECT_EQ(back.type, net::RequestType::Register);
   EXPECT_EQ(back.worker.id, "w-42");
   EXPECT_EQ(back.worker.port, 9001);
@@ -244,8 +254,7 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   hb.load.cache_misses = 7;
   hb.load.peer_hits = 3;
   hb.leaving = true;
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(hb), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(hb, &back, &err)) << err;
   EXPECT_EQ(back.load.queue_depth, 4);
   EXPECT_EQ(back.load.running, 2);
   EXPECT_EQ(back.load.cache_entries, 17u);
@@ -256,8 +265,7 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   net::Request probe;
   probe.type = net::RequestType::CacheProbe;
   probe.key = net::format_key(0xdeadbeefcafef00dull);
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(probe), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(probe, &back, &err)) << err;
   uint64_t key = 0;
   ASSERT_TRUE(net::parse_key(back.key, &key));
   EXPECT_EQ(key, 0xdeadbeefcafef00dull);
@@ -266,8 +274,7 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   fill.type = net::RequestType::CacheFill;
   fill.key = net::format_key(1);
   fill.payload = "opaque\nresult\tbytes";
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(fill), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(fill, &back, &err)) << err;
   EXPECT_EQ(back.payload, fill.payload);
 
   // forward: wraps an inner compile and keeps the attempt counter.
@@ -277,35 +284,25 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   fwd.attempt = 2;
   fwd.name = "APP";
   fwd.source = "      PROGRAM X\n      END\n";
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(fwd), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(fwd, &back, &err)) << err;
   EXPECT_EQ(back.type, net::RequestType::Forward);
   EXPECT_EQ(back.inner, net::RequestType::Compile);
   EXPECT_EQ(back.attempt, 2);
   EXPECT_EQ(back.source, fwd.source);
 
-  // v3-only types are flagged, v1/v2 types are not.
-  EXPECT_TRUE(net::request_type_requires_v3(net::RequestType::Forward));
-  EXPECT_TRUE(net::request_type_requires_v3(net::RequestType::CacheProbe));
-  EXPECT_FALSE(net::request_type_requires_v3(net::RequestType::Compile));
-  EXPECT_FALSE(net::request_type_requires_v3(net::RequestType::Hello));
-
   // response: hello block, probe hit payload, and the peer list.
   net::Response resp;
   resp.status = net::Status::Ok;
   resp.has_hello = true;
-  resp.hello = {1, 3, "coordinator", true};
+  resp.hello = {net::kProtocolVersion, "coordinator", true};
   resp.found = true;
   resp.payload = "serialized result";
   resp.has_peers = true;
   resp.peers = {{"a", "127.0.0.1", 1}, {"b", "127.0.0.1", 2}};
   net::Response rback;
-  ASSERT_TRUE(
-      net::response_from_json(net::response_to_json(resp), &rback, &err))
-      << err;
+  ASSERT_TRUE(round_trip(resp, &rback, &err)) << err;
   ASSERT_TRUE(rback.has_hello);
-  EXPECT_EQ(rback.hello.min_version, 1);
-  EXPECT_EQ(rback.hello.max_version, 3);
+  EXPECT_EQ(rback.hello.version, net::kProtocolVersion);
   EXPECT_EQ(rback.hello.role, "coordinator");
   EXPECT_TRUE(rback.hello.draining);
   EXPECT_TRUE(rback.found);
@@ -316,7 +313,7 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   EXPECT_EQ(rback.peers[1].port, 2);
 }
 
-// v6 unit-artifact messages: unit_probe/unit_fill carry the same hex key
+// Unit-artifact messages: unit_probe/unit_fill carry the same hex key
 // shape as the whole-result tier plus the boundary label, and the payload
 // stays byte-exact (it is an opaque pass snapshot).
 TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
@@ -326,8 +323,7 @@ TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   probe.key = net::format_key(0xfeedface00c0ffeeull);
   net::Request back;
   std::string err;
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(probe), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(probe, &back, &err)) << err;
   EXPECT_EQ(back.type, net::RequestType::UnitProbe);
   uint64_t key = 0;
   ASSERT_TRUE(net::parse_key(back.key, &key));
@@ -339,55 +335,55 @@ TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   fill.boundary = "normalize";
   fill.payload = "APUSER 1 opaque";
   fill.payload.push_back('\xfe');
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(fill), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(fill, &back, &err)) << err;
   EXPECT_EQ(back.type, net::RequestType::UnitFill);
   EXPECT_EQ(back.boundary, "normalize");
   EXPECT_EQ(back.payload, fill.payload);
 
-  // The version predicate: exactly the unit types are v6-gated (they are
-  // also fleet types, so the v3 gate catches truly ancient claims first).
-  EXPECT_TRUE(net::request_type_requires_v6(net::RequestType::UnitProbe));
-  EXPECT_TRUE(net::request_type_requires_v6(net::RequestType::UnitFill));
-  EXPECT_FALSE(net::request_type_requires_v6(net::RequestType::CacheProbe));
-  EXPECT_FALSE(net::request_type_requires_v6(net::RequestType::Stats));
-  EXPECT_FALSE(net::request_type_requires_v6(net::RequestType::Compile));
-
   // A probe hit response is the same found/payload shape the result tier
-  // uses — byte-exact through both codecs.
+  // uses — byte-exact through the codec.
   net::Response resp;
   resp.id = 21;
   resp.found = true;
   resp.payload = fill.payload;
   net::Response rback;
-  ASSERT_TRUE(
-      net::response_from_json(net::response_to_json(resp), &rback, &err))
-      << err;
+  ASSERT_TRUE(round_trip(resp, &rback, &err)) << err;
   EXPECT_TRUE(rback.found);
   EXPECT_EQ(rback.payload, fill.payload);
-  net::Response bback;
-  ASSERT_TRUE(net::decode_response_binary(net::encode_response_binary(resp),
-                                          &bback, &err))
-      << err;
-  EXPECT_EQ(net::response_to_json(bback).dump(),
+  EXPECT_EQ(net::response_to_json(rback).dump(),
             net::response_to_json(resp).dump());
 }
 
-TEST(Protocol, RejectsWrongVersionAndMissingFields) {
+TEST(Protocol, BinaryDecoderRejectsMissingFields) {
   net::Request out;
   std::string err;
-  auto doc = json::parse(R"({"v": 99, "type": "ping", "id": 1})");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
-  EXPECT_NE(err.find("version"), std::string::npos);
 
-  doc = json::parse(R"({"v": 1, "type": "compile", "id": 1})");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
+  // Fleet identity and cache keys are validated at decode time.
+  net::Request reg;
+  reg.type = net::RequestType::Register;
+  EXPECT_FALSE(round_trip(reg, &out, &err));
+  EXPECT_NE(err.find("worker id"), std::string::npos) << err;
 
-  doc = json::parse(R"({"v": 1, "type": "nonsense", "id": 1})");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
+  net::Request probe;
+  probe.type = net::RequestType::CacheProbe;
+  probe.key = "not hex";
+  EXPECT_FALSE(round_trip(probe, &out, &err));
+  EXPECT_NE(err.find("key"), std::string::npos) << err;
+
+  // A forward wraps only compile or run.
+  net::Request fwd;
+  fwd.type = net::RequestType::Forward;
+  fwd.inner = net::RequestType::Ping;
+  EXPECT_FALSE(round_trip(fwd, &out, &err));
+  EXPECT_NE(err.find("forward"), std::string::npos) << err;
+
+  // The version is not the decoder's to judge: a mismatched claim decodes
+  // with the claim preserved, so the server can answer it structurally.
+  net::Request ping;
+  ping.type = net::RequestType::Ping;
+  ping.version = 99;
+  ASSERT_TRUE(round_trip(ping, &out, &err)) << err;
+  EXPECT_EQ(out.version, 99);
 }
 
 // ---------------------------------------------------------------------------
@@ -516,18 +512,16 @@ TEST(Server, PingMetricsAndCompile) {
   EXPECT_GE(server->find("accepted")->as_int(), 2);
 }
 
-TEST(Server, GarbageJsonDrawsProtocolErrorAndClose) {
+TEST(Server, NonBinaryFrameDrawsProtocolErrorAndClose) {
   LiveServer live;
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-  ASSERT_TRUE(client.send_frame("this is not json {", &err)) << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
+  // A JSON request, as a client of an older protocol would send it.
+  ASSERT_TRUE(client.send_frame(R"({"v": 6, "type": "ping", "id": 1})", &err))
+      << err;
   net::Response resp;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.recv_any(&resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::ProtocolError);
   // The server closes after a protocol error.
   EXPECT_FALSE(client.recv_frame(&err).has_value());
@@ -544,12 +538,8 @@ TEST(Server, OversizedPrefixDrawsProtocolErrorAndClose) {
   // 4-byte prefix announcing 1 GiB; no payload needed to trip the limit.
   std::string prefix = {0x40, 0x00, 0x00, 0x00};
   ASSERT_TRUE(client.send_raw(prefix, &err)) << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
   net::Response resp;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.recv_any(&resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::ProtocolError);
   EXPECT_FALSE(client.recv_frame(&err).has_value());
 }
@@ -559,13 +549,11 @@ TEST(Server, WellFormedFrameBadRequestDrawsProtocolError) {
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-  ASSERT_TRUE(client.send_frame(R"({"v": 1, "type": "compile"})", &err));
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
+  // Well-framed and well-encoded, but a register without a worker id.
+  net::Request reg;
+  reg.type = net::RequestType::Register;
   net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.call(std::move(reg), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::ProtocolError);
 }
 
@@ -577,9 +565,8 @@ TEST(Server, HalfOpenDisconnectMidRequestLeaksNoFd) {
     std::string err;
     ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
     // Half a frame: a correct prefix announcing more bytes than we send.
-    std::string frame =
-        net::encode_frame(net::request_to_json(compile_request(quick_app()))
-                              .dump());
+    std::string frame = net::encode_frame(
+        net::encode_request_binary(compile_request(quick_app())));
     ASSERT_TRUE(client.send_raw(
         std::string_view(frame).substr(0, frame.size() / 2), &err));
     client.close();  // disconnect mid-request
@@ -611,17 +598,13 @@ TEST(Server, OverloadDrawsStructuredRejection) {
   net::Client blocker;
   std::string err;
   ASSERT_TRUE(blocker.connect(live.server.port(), &err, 60'000)) << err;
-  ASSERT_TRUE(
-      blocker.send_frame(net::request_to_json(run_request(spin_app())).dump(),
-                         &err))
-      << err;
+  ASSERT_TRUE(blocker.submit(run_request(spin_app()), nullptr, &err)) << err;
   // Wait until the worker has picked the job up (queue empty again).
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   net::Client filler;
   ASSERT_TRUE(filler.connect(live.server.port(), &err, 60'000)) << err;
-  ASSERT_TRUE(filler.send_frame(
-      net::request_to_json(compile_request(quick_app())).dump(), &err));
+  ASSERT_TRUE(filler.submit(compile_request(quick_app()), nullptr, &err));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   // Queue now holds one request; the next must be rejected immediately.
@@ -669,21 +652,15 @@ TEST(Server, DrainRejectsNewWorkAndFinishesAccepted) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 60'000)) << err;
   // An in-flight slow request...
-  ASSERT_TRUE(
-      client.send_frame(net::request_to_json(run_request(spin_app())).dump(),
-                        &err));
+  ASSERT_TRUE(client.submit(run_request(spin_app()), nullptr, &err)) << err;
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   // ...then drain. The accepted request must still be answered.
   live.server.begin_drain();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_TRUE(live.server.draining());
 
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
   net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.recv_any(&resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Ok);
 
   live.server.wait();
@@ -697,27 +674,23 @@ TEST(Server, HelloAnswersVersionNegotiation) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
   net::HelloInfo info;
-  ASSERT_TRUE(client.hello(&info, &err)) << err;
-  EXPECT_EQ(info.min_version, net::kMinProtocolVersion);
-  EXPECT_EQ(info.max_version, net::kProtocolVersion);
+  ASSERT_TRUE(client.negotiate(&err, &info)) << err;
+  EXPECT_EQ(info.version, net::kProtocolVersion);
   EXPECT_EQ(info.role, "single");
   EXPECT_FALSE(info.draining);
 
-  // hello is answered even for a version we do not speak — that is the
-  // whole point of negotiation.
-  ASSERT_TRUE(client.send_frame(R"({"v": 999, "type": "hello", "id": 7})",
-                                &err))
-      << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
+  // hello is answered even for a version we do not speak: that is how a
+  // client learns what the server speaks.
+  net::Request hello;
+  hello.type = net::RequestType::Hello;
+  hello.id = 7;
+  hello.version = 999;
   net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.call(std::move(hello), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Ok);
   EXPECT_EQ(resp.id, 7);
   ASSERT_TRUE(resp.has_hello);
-  EXPECT_EQ(resp.hello.max_version, net::kProtocolVersion);
+  EXPECT_EQ(resp.hello.version, net::kProtocolVersion);
 }
 
 TEST(Server, UnsupportedVersionIsStructuredAndNonFatal) {
@@ -726,43 +699,35 @@ TEST(Server, UnsupportedVersionIsStructuredAndNonFatal) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // A version outside the supported range draws unsupported_version (not
-  // protocol_error) and the connection survives for a retry after
-  // renegotiation.
-  ASSERT_TRUE(client.send_frame(R"({"v": 99, "type": "ping", "id": 1})", &err))
-      << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
+  // A request claiming an older version draws unsupported_version (not
+  // protocol_error), naming `hello`, and the connection survives.
+  net::Request ping;
+  ping.type = net::RequestType::Ping;
+  ping.version = net::kProtocolVersion - 1;
   net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
   EXPECT_NE(resp.error.find("hello"), std::string::npos);
 
-  // Same connection, supported version: served normally.
-  net::Request ping;
-  ping.type = net::RequestType::Ping;
-  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
+  // Same connection, the current version: served normally.
+  net::Request again;
+  again.type = net::RequestType::Ping;
+  ASSERT_TRUE(client.call(std::move(again), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Ok);
 
-  // Fleet-only message types under a pre-fleet version are a version
-  // problem too, not a protocol error.
-  ASSERT_TRUE(client.send_frame(
-      R"({"v": 1, "type": "cache_probe", "id": 2, "key": "0000000000000001"})",
-      &err))
-      << err;
-  payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  // Fleet message types are gated the same way.
+  net::Request probe;
+  probe.type = net::RequestType::CacheProbe;
+  probe.id = 2;
+  probe.version = 1;
+  probe.key = net::format_key(1);
+  ASSERT_TRUE(client.call(std::move(probe), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
   EXPECT_EQ(live.server.stats().protocol_errors, 0u);
 }
 
-// unit_probe/unit_fill are v6-gated at the server front door, and on a
-// non-fleet server a correctly-versioned probe draws a structured error
+// unit_probe/unit_fill are version-gated at the server front door, and on
+// a non-fleet server a correctly-versioned probe draws a structured error
 // (not a crash, not a protocol error) — the connection survives both.
 TEST(Server, UnitProbeIsVersionGatedAndStructuredWithoutFleet) {
   LiveServer live;
@@ -770,21 +735,20 @@ TEST(Server, UnitProbeIsVersionGatedAndStructuredWithoutFleet) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // A v5 client naming a v6 type: unsupported_version, connection stays.
-  ASSERT_TRUE(client.send_frame(
-      R"({"v": 5, "type": "unit_probe", "id": 4, "key": "00000000000000aa"})",
-      &err))
-      << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
+  // A probe claiming an older version: unsupported_version, connection
+  // stays.
+  net::Request stale;
+  stale.type = net::RequestType::UnitProbe;
+  stale.id = 4;
+  stale.version = 5;
+  stale.key = net::format_key(0xaa);
   net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.call(std::move(stale), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
-  EXPECT_NE(resp.error.find("v6"), std::string::npos);
+  EXPECT_EQ(resp.id, 4);
 
-  // Proper v6 probe against a single (non-fleet) server: structured error.
+  // Current-version probe against a single (non-fleet) server: a
+  // structured error.
   net::Request probe;
   probe.type = net::RequestType::UnitProbe;
   probe.key = net::format_key(0xaa);
@@ -842,7 +806,7 @@ TEST(Server, IdleConnectionsAreReaped) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec (v4): equivalence against JSON, hostile frames
+// Binary codec: equivalence against the JSON rendering, hostile frames
 // ---------------------------------------------------------------------------
 
 // A request of the given type with every type-relevant field populated
@@ -894,18 +858,6 @@ net::Request rich_request(net::RequestType type) {
       r.payload.push_back('\xff');  // opaque payloads are byte-exact
       r.payload += " included";
       break;
-    case net::RequestType::CompileBatch: {
-      net::BatchItem a;
-      a.name = "ONE";
-      a.source = "      PROGRAM ONE\n      END\n";
-      a.annotations = "inline foo\n";
-      a.options = nondefault_pipeline_options();
-      net::BatchItem b;
-      b.name = "TWO";
-      b.source = "      PROGRAM TWO\n      END\n";
-      r.batch = {std::move(a), std::move(b)};
-      break;
-    }
     case net::RequestType::UnitProbe:
       r.key = net::format_key(0xfeedface00c0ffeeull);
       break;
@@ -920,18 +872,19 @@ net::Request rich_request(net::RequestType type) {
   return r;
 }
 
+constexpr net::RequestType kAllRequestTypes[] = {
+    net::RequestType::Compile,    net::RequestType::Run,
+    net::RequestType::Metrics,    net::RequestType::Ping,
+    net::RequestType::Hello,      net::RequestType::Register,
+    net::RequestType::Heartbeat,  net::RequestType::CacheProbe,
+    net::RequestType::CacheFill,  net::RequestType::Forward,
+    net::RequestType::Stats,      net::RequestType::UnitProbe,
+    net::RequestType::UnitFill};
+
 TEST(Binary, RequestRoundTripMatchesJsonForEveryType) {
-  for (auto type :
-       {net::RequestType::Compile, net::RequestType::Run,
-        net::RequestType::Metrics, net::RequestType::Ping,
-        net::RequestType::Hello, net::RequestType::Register,
-        net::RequestType::Heartbeat, net::RequestType::CacheProbe,
-        net::RequestType::CacheFill, net::RequestType::Forward,
-        net::RequestType::CompileBatch, net::RequestType::Stats,
-        net::RequestType::UnitProbe, net::RequestType::UnitFill}) {
+  for (auto type : kAllRequestTypes) {
     net::Request r = rich_request(type);
     std::string bin = net::encode_request_binary(r);
-    ASSERT_TRUE(net::is_binary_frame(bin));
     net::Request back;
     std::string err;
     ASSERT_TRUE(net::decode_request_binary(bin, &back, &err))
@@ -943,20 +896,19 @@ TEST(Binary, RequestRoundTripMatchesJsonForEveryType) {
         << net::request_type_name(type);
   }
 
-  // Forward wrapping a batch (the coordinator's fan-out shape).
-  net::Request fwd = rich_request(net::RequestType::CompileBatch);
-  fwd.type = net::RequestType::Forward;
-  fwd.inner = net::RequestType::CompileBatch;
+  // Forward wrapping a compile (no interp options on the wire).
+  net::Request fwd = rich_request(net::RequestType::Forward);
+  fwd.inner = net::RequestType::Compile;
   fwd.attempt = 1;
   net::Request back;
   std::string err;
-  ASSERT_TRUE(
-      net::decode_request_binary(net::encode_request_binary(fwd), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(fwd, &back, &err)) << err;
   EXPECT_EQ(net::request_to_json(back).dump(), net::request_to_json(fwd).dump());
 }
 
-TEST(Binary, ResponseRoundTripMatchesJsonForEveryShape) {
+// One response of every shape: each status, compile + run payloads,
+// hello + peers + probe hit, and a metrics object.
+std::vector<net::Response> response_shapes() {
   std::vector<net::Response> shapes;
 
   // Every status with an error string.
@@ -1007,7 +959,7 @@ TEST(Binary, ResponseRoundTripMatchesJsonForEveryShape) {
     net::Response r;
     r.id = 11;
     r.has_hello = true;
-    r.hello = {1, 4, "coordinator", true, true};
+    r.hello = {net::kProtocolVersion, "coordinator", true};
     r.found = true;
     r.payload = "serialized result";
     r.has_peers = true;
@@ -1025,25 +977,13 @@ TEST(Binary, ResponseRoundTripMatchesJsonForEveryShape) {
     shapes.push_back(std::move(r));
   }
 
-  // Batch results with a per-item failure.
-  {
-    net::Response r;
-    r.id = 13;
-    r.has_batch = true;
-    service::CompileResult good;
-    good.ok = true;
-    good.parallel_loops = {10};
-    good.program_text = "      PROGRAM A\n      END\n";
-    service::CompileResult bad;
-    bad.ok = false;
-    bad.error = "parse error: unexpected token";
-    r.batch = {std::move(good), std::move(bad)};
-    shapes.push_back(std::move(r));
-  }
+  return shapes;
+}
 
+TEST(Binary, ResponseRoundTripMatchesJsonForEveryShape) {
+  std::vector<net::Response> shapes = response_shapes();
   for (size_t i = 0; i < shapes.size(); ++i) {
     std::string bin = net::encode_response_binary(shapes[i]);
-    ASSERT_TRUE(net::is_binary_frame(bin));
     net::Response back;
     std::string err;
     ASSERT_TRUE(net::decode_response_binary(bin, &back, &err))
@@ -1055,36 +995,81 @@ TEST(Binary, ResponseRoundTripMatchesJsonForEveryShape) {
 }
 
 TEST(Binary, TruncatedAndMutatedPayloadsNeverCrashTheDecoder) {
-  std::string bin =
-      net::encode_request_binary(rich_request(net::RequestType::Run));
+  // Every request type and every response shape, encoded.
+  std::vector<std::string> requests, responses;
+  for (auto type : kAllRequestTypes)
+    requests.push_back(net::encode_request_binary(rich_request(type)));
+  for (const auto& r : response_shapes())
+    responses.push_back(net::encode_response_binary(r));
 
-  // Every strict prefix must fail cleanly (never read out of bounds).
-  for (size_t len = 0; len < bin.size(); ++len) {
-    net::Request out;
+  // Decodes `bin` as a request or a response; a decoded message is
+  // rendered, so "decodable" always implies "renderable".
+  auto decode = [](const std::string& bin, bool is_request,
+                   std::string* err) {
+    if (is_request) {
+      net::Request out;
+      if (!net::decode_request_binary(bin, &out, err)) return false;
+      (void)net::request_to_json(out).dump();
+    } else {
+      net::Response out;
+      if (!net::decode_response_binary(bin, &out, err)) return false;
+      (void)net::response_to_json(out).dump();
+    }
+    return true;
+  };
+  // A hostile input must fail with a reason or decode — no crash, no
+  // exception, no out-of-bounds read.
+  auto check = [&](const std::string& bin, bool is_request,
+                   const std::string& what) {
     std::string err;
-    EXPECT_FALSE(
-        net::decode_request_binary(std::string_view(bin).substr(0, len), &out,
-                                   &err))
-        << "prefix of " << len << " bytes decoded";
+    if (!decode(bin, is_request, &err)) {
+      EXPECT_FALSE(err.empty()) << what << ": failed without a reason";
+    }
+  };
+
+  std::mt19937 rng(20110913);  // fixed seed: the same mutants every run
+  for (bool is_request : {true, false}) {
+    const auto& inputs = is_request ? requests : responses;
+    for (size_t n = 0; n < inputs.size(); ++n) {
+      const std::string& bin = inputs[n];
+      std::string label =
+          std::string(is_request ? "request " : "response ") +
+          std::to_string(n);
+
+      // Every strict prefix fails cleanly.
+      for (size_t len = 0; len < bin.size(); ++len) {
+        std::string err;
+        EXPECT_FALSE(decode(bin.substr(0, len), is_request, &err))
+            << label << ": prefix of " << len << " bytes decoded";
+        EXPECT_FALSE(err.empty()) << label << ": prefix of " << len;
+      }
+
+      // Every single-byte mutation.
+      for (size_t pos = 0; pos < bin.size(); ++pos) {
+        std::string mutated = bin;
+        mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5a);
+        check(mutated, is_request,
+              label + " byte " + std::to_string(pos) + " flipped");
+      }
+
+      // Seeded multi-byte mutations: 2–8 random bytes overwritten.
+      for (int trial = 0; trial < 64; ++trial) {
+        std::string mutated = bin;
+        int flips = 2 + static_cast<int>(rng() % 7);
+        for (int f = 0; f < flips; ++f)
+          mutated[rng() % mutated.size()] = static_cast<char>(rng() & 0xff);
+        check(mutated, is_request,
+              label + " multi-byte trial " + std::to_string(trial));
+      }
+    }
   }
 
-  // Single-byte mutations either fail with an error or decode to some
-  // valid request — either way, no crash and no exception.
-  for (size_t pos = 0; pos < bin.size(); ++pos) {
-    std::string mutated = bin;
-    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5a);
-    net::Request out;
-    std::string err;
-    if (net::decode_request_binary(mutated, &out, &err))
-      (void)net::request_to_json(out).dump();  // decodable ⇒ renderable
-    else
-      EXPECT_FALSE(err.empty()) << "failure at byte " << pos << " without why";
-  }
-
-  // A request payload is not a response (kind byte is checked).
+  // A request payload is not a response, nor the reverse (kind byte).
   net::Response resp;
+  net::Request req;
   std::string err;
-  EXPECT_FALSE(net::decode_response_binary(bin, &resp, &err));
+  EXPECT_FALSE(net::decode_response_binary(requests[0], &resp, &err));
+  EXPECT_FALSE(net::decode_request_binary(responses[0], &req, &err));
 }
 
 TEST(Server, BinaryGarbageDrawsProtocolErrorAndClose) {
@@ -1093,15 +1078,11 @@ TEST(Server, BinaryGarbageDrawsProtocolErrorAndClose) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // Magic byte followed by garbage: undecodable binary frame. The reply
-  // must arrive in the codec the frame claimed — binary.
+  // Magic byte followed by garbage: an undecodable binary frame.
   std::string garbage = "\xb4\x01 not a tlv stream at all";
   ASSERT_TRUE(client.send_frame(garbage, &err)) << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  ASSERT_TRUE(net::is_binary_frame(*payload));
   net::Response resp;
-  ASSERT_TRUE(net::decode_response_binary(*payload, &resp, &err)) << err;
+  ASSERT_TRUE(client.recv_any(&resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::ProtocolError);
 
   // The stream cannot be resynchronized: the server closes.
@@ -1109,7 +1090,7 @@ TEST(Server, BinaryGarbageDrawsProtocolErrorAndClose) {
   EXPECT_GE(live.server.stats().protocol_errors, 1u);
 }
 
-TEST(Server, NegotiateSwitchesToBinaryAndServes) {
+TEST(Server, NegotiateHandshakeThenServes) {
   LiveServer live;
   net::Client client;
   std::string err;
@@ -1117,11 +1098,9 @@ TEST(Server, NegotiateSwitchesToBinaryAndServes) {
 
   net::HelloInfo info;
   ASSERT_TRUE(client.negotiate(&err, &info)) << err;
-  EXPECT_TRUE(info.binary);
-  EXPECT_GE(info.max_version, 4);
-  EXPECT_TRUE(client.binary());
+  EXPECT_EQ(info.version, net::kProtocolVersion);
 
-  // Binary compile, then the warm hit — both full round trips.
+  // Compile, then the warm hit — both full round trips.
   net::Response resp;
   ASSERT_TRUE(client.call(compile_request(quick_app()), &resp, &err)) << err;
   ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
@@ -1129,10 +1108,7 @@ TEST(Server, NegotiateSwitchesToBinaryAndServes) {
   EXPECT_TRUE(resp.result.ok);
   ASSERT_TRUE(client.call(compile_request(quick_app()), &resp, &err)) << err;
   EXPECT_TRUE(resp.result.cache_hit);
-
-  service::ServerStats stats = live.server.stats();
-  EXPECT_GE(stats.binary_requests, 2u);  // the two compiles
-  EXPECT_GE(stats.json_requests, 1u);    // the hello that negotiated
+  EXPECT_EQ(live.server.stats().protocol_errors, 0u);
 }
 
 TEST(Server, BinaryUnsupportedVersionIsStructuredAndNonFatal) {
@@ -1141,92 +1117,21 @@ TEST(Server, BinaryUnsupportedVersionIsStructuredAndNonFatal) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // A binary frame claiming v99 decodes fine; the out-of-range claim is
-  // answered structurally, in binary, with the connection left open.
+  // A frame claiming v99 decodes fine; the mismatched claim is answered
+  // structurally, with the connection left open.
   net::Request ping;
   ping.type = net::RequestType::Ping;
   ping.id = 5;
   ping.version = 99;
-  ASSERT_TRUE(client.send_frame(net::encode_request_binary(ping), &err)) << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  ASSERT_TRUE(net::is_binary_frame(*payload));
   net::Response resp;
-  ASSERT_TRUE(net::decode_response_binary(*payload, &resp, &err)) << err;
+  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
   EXPECT_EQ(resp.id, 5);
 
-  // Same connection still serves a well-versioned binary request.
-  client.set_binary(true);
+  // Same connection still serves a well-versioned request.
   net::Request again;
   again.type = net::RequestType::Ping;
   ASSERT_TRUE(client.call(std::move(again), &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::Ok);
-  EXPECT_EQ(live.server.stats().protocol_errors, 0u);
-}
-
-TEST(Server, CompileBatchAnswersPerItem) {
-  LiveServer live;
-  net::Client client;
-  std::string err;
-  ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-  ASSERT_TRUE(client.negotiate(&err)) << err;
-
-  net::Request req;
-  req.type = net::RequestType::CompileBatch;
-  net::BatchItem good;
-  good.name = quick_app().name;
-  good.source = quick_app().source;
-  net::BatchItem bad;
-  bad.name = "BROKEN";
-  bad.source = "      THIS IS NOT FORTRAN AT ALL\n";
-  req.batch = {std::move(good), std::move(bad)};
-
-  net::Response resp;
-  ASSERT_TRUE(client.call(std::move(req), &resp, &err)) << err;
-  // Per-item failures ride inside the results; the frame stays ok.
-  ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-  ASSERT_TRUE(resp.has_batch);
-  ASSERT_EQ(resp.batch.size(), 2u);
-  EXPECT_TRUE(resp.batch[0].ok) << resp.batch[0].error;
-  EXPECT_FALSE(resp.batch[1].ok);
-  EXPECT_FALSE(resp.batch[1].error.empty());
-
-  service::ServerStats stats = live.server.stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.batch_items, 2u);
-  EXPECT_EQ(stats.batch_max, 2u);
-}
-
-TEST(Server, CompileBatchUnderV3DrawsUnsupportedVersion) {
-  LiveServer live;
-  net::Client client;
-  std::string err;
-  ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-
-  // A v3 JSON client sending the v4-only type: a version problem, not a
-  // protocol error, and the connection survives.
-  net::Request req;
-  req.type = net::RequestType::CompileBatch;
-  req.id = 21;
-  req.version = 3;
-  net::BatchItem item;
-  item.source = quick_app().source;
-  req.batch = {std::move(item)};
-  ASSERT_TRUE(client.send_frame(net::request_to_json(req).dump(), &err)) << err;
-
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
-  net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
-  EXPECT_EQ(resp.id, 21);
-
-  net::Request ping;
-  ping.type = net::RequestType::Ping;
-  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Ok);
   EXPECT_EQ(live.server.stats().protocol_errors, 0u);
 }
@@ -1259,36 +1164,6 @@ TEST(Server, PipelinedResponsesReturnOutOfOrder) {
   EXPECT_GE(live.server.stats().pipeline_depth_peak, 2);
 }
 
-TEST(Server, MixedCodecsInterleaveOnOneConnection) {
-  LiveServer live;
-  net::Client client;
-  std::string err;
-  ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-
-  // JSON ping, binary compile, JSON metrics — each answered in the codec
-  // it arrived in (call() sniffs the reply codec per frame).
-  net::Request ping;
-  ping.type = net::RequestType::Ping;
-  net::Response resp;
-  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::Ok);
-
-  client.set_binary(true);
-  ASSERT_TRUE(client.call(compile_request(quick_app()), &resp, &err)) << err;
-  ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-  EXPECT_TRUE(resp.has_result);
-
-  client.set_binary(false);
-  net::Request metrics;
-  metrics.type = net::RequestType::Metrics;
-  ASSERT_TRUE(client.call(std::move(metrics), &resp, &err)) << err;
-  ASSERT_TRUE(resp.metrics.is_object());
-
-  service::ServerStats stats = live.server.stats();
-  EXPECT_GE(stats.json_requests, 2u);
-  EXPECT_GE(stats.binary_requests, 1u);
-}
-
 TEST(Channel, ConcurrentCallsMultiplexOneConnection) {
   LiveServer live;
   net::ChannelOptions co;
@@ -1318,7 +1193,6 @@ TEST(Channel, ConcurrentCallsMultiplexOneConnection) {
   // Every call shared ONE negotiated connection.
   EXPECT_EQ(ch.connects(), 1u);
   EXPECT_EQ(ch.reconnects(), 0u);
-  EXPECT_TRUE(ch.binary());
   EXPECT_GE(ch.inflight_peak(), 1u);
   // The server saw exactly one transport connection too.
   EXPECT_EQ(live.server.stats().connections, 1u);
@@ -1336,79 +1210,59 @@ TEST(Channel, ConcurrentCallsMultiplexOneConnection) {
 }
 
 // ---------------------------------------------------------------------------
-// v5 observability plane
+// Observability plane
 // ---------------------------------------------------------------------------
 
 TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
   std::string err;
   net::Request back;
 
-  // Trace flag + minted id on a compile, both codecs.
+  // Trace flag + minted id on a compile, through the codec and rendered.
   net::Request traced = rich_request(net::RequestType::Compile);
   traced.trace = true;
   traced.trace_id = 0xfeedfacecafebeefull;
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(traced), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(traced, &back, &err)) << err;
   EXPECT_TRUE(back.trace);
   EXPECT_EQ(back.trace_id, traced.trace_id);
-  ASSERT_TRUE(net::decode_request_binary(net::encode_request_binary(traced),
-                                         &back, &err))
-      << err;
   EXPECT_EQ(net::request_to_json(back).dump(),
             net::request_to_json(traced).dump());
 
   // The trace id alone rides control-plane hops (peer probes/fills).
   net::Request probe = rich_request(net::RequestType::CacheProbe);
   probe.trace_id = 42;
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(probe), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(probe, &back, &err)) << err;
   EXPECT_EQ(back.trace_id, 42u);
   EXPECT_FALSE(back.trace);
 
   // Heartbeats carry the encoded histogram bundle byte-exactly.
   net::Request hb = rich_request(net::RequestType::Heartbeat);
   hb.load.hist = "compile=3;4000;96:3|cache:hit=1;5;5:1";
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(hb), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(hb, &back, &err)) << err;
   EXPECT_EQ(back.load.hist, hb.load.hist);
-  ASSERT_TRUE(
-      net::decode_request_binary(net::encode_request_binary(hb), &back, &err))
-      << err;
   EXPECT_EQ(net::request_to_json(back).dump(), net::request_to_json(hb).dump());
 
-  // The stats type round-trips and is v5-gated; v4 types are not.
+  // The stats type round-trips.
   net::Request stats;
   stats.type = net::RequestType::Stats;
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(stats), &back, &err))
-      << err;
+  ASSERT_TRUE(round_trip(stats, &back, &err)) << err;
   EXPECT_EQ(back.type, net::RequestType::Stats);
-  EXPECT_TRUE(net::request_type_requires_v5(net::RequestType::Stats));
-  EXPECT_FALSE(net::request_type_requires_v5(net::RequestType::Compile));
-  EXPECT_FALSE(net::request_type_requires_v5(net::RequestType::CompileBatch));
-  EXPECT_FALSE(net::request_type_requires_v5(net::RequestType::Forward));
 
-  // A response span tree survives both codecs.
+  // A response span tree survives the codec.
   net::Response resp;
   resp.id = 7;
   obs::Span root{"request", "compile", 4.0, {{"queue", "", 0.5, {}}}};
   resp.trace = obs::span_to_json(root);
   net::Response rback;
-  ASSERT_TRUE(
-      net::response_from_json(net::response_to_json(resp), &rback, &err))
-      << err;
+  ASSERT_TRUE(round_trip(resp, &rback, &err)) << err;
   obs::Span got;
   ASSERT_TRUE(obs::span_from_json(rback.trace, &got));
   EXPECT_EQ(got.name, "request");
   ASSERT_EQ(got.children.size(), 1u);
   EXPECT_EQ(got.children[0].name, "queue");
-  ASSERT_TRUE(net::decode_response_binary(net::encode_response_binary(resp),
-                                          &rback, &err))
-      << err;
   EXPECT_EQ(net::response_to_json(rback).dump(),
             net::response_to_json(resp).dump());
 
-  // An untraced response carries no trace member at all (pre-v5 clients
-  // never see an unknown key).
+  // An untraced response renders no trace member at all.
   net::Response plain;
   plain.id = 8;
   EXPECT_EQ(net::response_to_json(plain).find("trace"), nullptr);
@@ -1420,20 +1274,14 @@ TEST(Server, StatsUnderV4DrawsUnsupportedVersion) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // A v4 client sending the v5-only stats poll: a version problem, not a
+  // A stats poll claiming an older version: a version problem, not a
   // protocol error, and the connection survives.
   net::Request req;
   req.type = net::RequestType::Stats;
   req.id = 31;
   req.version = 4;
-  ASSERT_TRUE(client.send_frame(net::request_to_json(req).dump(), &err)) << err;
-
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
   net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+  ASSERT_TRUE(client.call(std::move(req), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
   EXPECT_EQ(resp.id, 31);
 

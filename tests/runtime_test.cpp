@@ -82,11 +82,13 @@ TEST(GlobalStore, ScalarCellsStableAndTyped) {
 
 TEST(ThreadPool, CoversEveryIterationExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
+  // parallel_for's range is inclusive: indices 1..1000 need 1001 slots.
+  std::vector<std::atomic<int>> hits(1001);
   pool.parallel_for(1, 1000, [&](int64_t lo, int64_t hi, int) {
     for (int64_t i = lo; i <= hi; ++i) hits[static_cast<size_t>(i)]++;
   });
-  for (size_t i = 1; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_EQ(hits[0].load(), 0);
+  for (size_t i = 1; i <= 1000; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
