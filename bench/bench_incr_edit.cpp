@@ -1,15 +1,11 @@
 // Editor-loop latency for the pass-boundary snapshot protocol (src/incr +
-// src/pm): cold compiles vs. warmed one-unit edits at increasing snapshot
-// depth, plus an every-unit edit, on DYFESM (the 12-unit suite app), per
-// inlining configuration.
+// src/pm): cold compiles vs. warmed one-unit edits, plus an every-unit
+// edit, on DYFESM (the 12-unit suite app), per inlining configuration.
 //
 //   cold               — fresh pipeline, no unit cache (the baseline)
-//   normalize_only     — warmed cache restricted to the normalize boundary
-//                        (snapshot_boundaries = {"normalize"}): front-end
-//                        work resumes, the parallelizer reruns everywhere
-//   full               — warmed cache, every boundary enrolled: unchanged
-//                        units resume from their deepest (parallelize)
-//                        snapshot and skip the analysis entirely
+//   full               — warmed cache: unchanged units restore their
+//                        parallelize snapshot (the one boundary) and skip
+//                        the analysis entirely
 //   all_units_edit     — warmed cache, every unit mutated: nothing
 //                        reusable, the incremental floor
 //
@@ -20,20 +16,18 @@
 //     source units one-to-one) a leaf edit must reuse EXACTLY
 //     units − |closure| snapshots per round, and the all-units edit must
 //     reuse none (no over-invalidation, no stale reuse);
-//   ordering — snapshot depth must be ordered and each depth must
-//     restore: cold touches no boundary, normalize_only restores at
-//     exactly the normalize boundary, full restores at BOTH boundaries,
-//     and the restore count at every enrolled boundary equals the
-//     closure-derived reuse bound.
-// Latency is reported for trend tracking only: DYFESM cold-compiles in
-// about a millisecond, so at this scale snapshot bookkeeping rivals the
-// compute it saves — the protocol's payoff is exact invalidation and
-// fleet sharing, which is what the gates pin down.
+//   ordering — cold touches no boundary, and full touches exactly the
+//     parallelize boundary, restoring there exactly the closure-derived
+//     reuse bound.
+// Latency is reported for trend tracking only, with the full-edit/cold
+// ratio per config computed from the rows: DYFESM cold-compiles in about
+// a millisecond, too little for a latency gate to be stable.
 //
 // The headline block is printed to stdout AND written to BENCH_incr.json
-// (schema_version 2: per-scenario counters now carry the invalidation
-// split and a "boundaries" map breaking hits/misses down per snapshot
-// boundary from the pass records). CI uploads it as an artifact.
+// (schema_version 3: scenarios cold, full_edit and all_units_edit; each
+// carries the invalidation split and a "boundaries" map of hits/misses
+// per snapshot boundary from the pass records). CI uploads it as an
+// artifact.
 //
 // `--smoke` runs a reduced round count, skips the google-benchmark timers,
 // and exits nonzero unless both gates hold.
@@ -112,7 +106,7 @@ struct BoundaryAgg {
 
 struct Scenario {
   double mean_ms = 0;
-  double min_ms = 0;    // best-of-rounds; what the ordering gate compares
+  double min_ms = 0;    // best-of-rounds; reported in the gate block
   double hit_rate = 0;  // unit hits / unit lookups at the deepest boundary
   size_t unit_hits = 0;
   size_t unit_misses = 0;
@@ -121,7 +115,7 @@ struct Scenario {
 };
 
 struct ConfigRuns {
-  Scenario cold, normalize_only, full, all_edit;
+  Scenario cold, full, all_edit;
   size_t units = 0;
 };
 
@@ -176,17 +170,6 @@ ConfigRuns measure_config(driver::InlineConfig cfg, int rounds) {
     return incr::mutate_unit(app.source, leaf_edit().unit, 1000 + r);
   };
 
-  // Shallow protocol: only the normalize boundary snapshots.
-  {
-    incr::UnitCache cache(4096);
-    driver::PipelineOptions opts = cold_opts;
-    opts.unit_cache = &cache;
-    opts.snapshot_boundaries = {"normalize"};
-    (void)driver::run_pipeline(app, opts);  // warm
-    measure(&runs.normalize_only, opts, rounds, leaf_source);
-  }
-
-  // Full protocol: every snapshotable boundary enrolled.
   {
     incr::UnitCache cache(4096);
     driver::PipelineOptions opts = cold_opts;
@@ -228,8 +211,8 @@ void append_scenario(std::string* out, const char* key, const Scenario& s,
 
 // Returns true when both smoke gates hold (structural + ordering).
 bool run_headline(int rounds, bool write_file) {
-  bench::header("INCREMENTAL EDIT LOOP: COLD VS NORMALIZE-ONLY VS FULL "
-                "SNAPSHOTS (BENCH_incr.json)");
+  bench::header("INCREMENTAL EDIT LOOP: COLD VS ONE-UNIT EDIT VS "
+                "ALL-UNITS EDIT (BENCH_incr.json)");
 
   const struct { const char* name; driver::InlineConfig cfg; } configs[] = {
       {"no-inlining", driver::InlineConfig::None},
@@ -237,7 +220,7 @@ bool run_headline(int rounds, bool write_file) {
       {"annotation-based", driver::InlineConfig::Annotation}};
 
   std::string out;
-  out += "{\n  \"bench\": \"incr_edit\",\n  \"schema_version\": 2,\n"
+  out += "{\n  \"bench\": \"incr_edit\",\n  \"schema_version\": 3,\n"
          "  \"app\": \"DYFESM\",\n";
   char buf[512];
   std::snprintf(buf, sizeof buf,
@@ -248,19 +231,22 @@ bool run_headline(int rounds, bool write_file) {
   out += "  \"configs\": {\n";
 
   ConfigRuns gate_runs;
+  std::string ratios;  // full-edit / cold, per config, from the rows
   for (size_t c = 0; c < 3; ++c) {
     ConfigRuns runs = measure_config(configs[c].cfg, rounds);
     if (configs[c].cfg == driver::InlineConfig::None) gate_runs = runs;
-    std::printf("%-18s cold %7.3f ms | normalize-only %7.3f ms | "
-                "full %7.3f ms (hit rate %.2f) | all-units %7.3f ms\n",
-                configs[c].name, runs.cold.mean_ms,
-                runs.normalize_only.mean_ms, runs.full.mean_ms,
-                runs.full.hit_rate, runs.all_edit.mean_ms);
+    double ratio = runs.full.mean_ms / runs.cold.mean_ms;
+    std::printf("%-18s cold %7.3f ms | full %7.3f ms (hit rate %.2f, "
+                "%.2fx cold) | all-units %7.3f ms\n",
+                configs[c].name, runs.cold.mean_ms, runs.full.mean_ms,
+                runs.full.hit_rate, ratio, runs.all_edit.mean_ms);
+    std::snprintf(buf, sizeof buf, "%s%s %.2fx", ratios.empty() ? "" : ", ",
+                  configs[c].name, ratio);
+    ratios += buf;
     out += std::string("    \"") + configs[c].name + "\": {\n";
     std::snprintf(buf, sizeof buf, "      \"units\": %zu,\n", runs.units);
     out += buf;
     append_scenario(&out, "cold", runs.cold);
-    append_scenario(&out, "normalize_only_edit", runs.normalize_only);
     append_scenario(&out, "full_edit", runs.full);
     append_scenario(&out, "all_units_edit", runs.all_edit, /*last=*/true);
     out += c + 1 < 3 ? "    },\n" : "    }\n";
@@ -275,40 +261,30 @@ bool run_headline(int rounds, bool write_file) {
   size_t expected_hits = expected_reuse * static_cast<size_t>(rounds);
   bool exact_reuse = gate_runs.full.unit_hits == expected_hits;
   bool no_stale_reuse = gate_runs.all_edit.unit_hits == 0;
-  // Ordering gate on snapshot depth (deterministic — latency at this app
-  // size is bookkeeping-dominated and only trended): cold touches no
-  // boundary; normalize_only restores at exactly the normalize boundary
-  // (the snapshot_boundaries filter held); full restores at both, and
-  // every enrolled boundary restores exactly the closure-derived count.
+  // Ordering gate (deterministic — latency at this app size is only
+  // trended): cold touches no boundary; full touches exactly the one
+  // snapshot boundary, parallelize, and restores there exactly the
+  // closure-derived count.
   auto boundary_hits = [](const Scenario& s, const char* name) {
     auto it = s.boundaries.find(name);
     return it == s.boundaries.end() ? size_t{0} : it->second.hits;
   };
-  bool depth_ordered =
-      gate_runs.cold.boundaries.empty() &&
-      gate_runs.normalize_only.boundaries.size() == 1 &&
-      gate_runs.normalize_only.boundaries.count("normalize") == 1 &&
-      gate_runs.full.boundaries.count("normalize") == 1 &&
-      gate_runs.full.boundaries.count("parallelize") == 1;
-  bool deep_restores_exact =
+  bool one_boundary = gate_runs.cold.boundaries.empty() &&
+                      gate_runs.full.boundaries.size() == 1 &&
+                      gate_runs.full.boundaries.count("parallelize") == 1;
+  bool restores_exact =
       boundary_hits(gate_runs.full, "parallelize") == expected_hits;
-  bool shallow_restores_exact =
-      boundary_hits(gate_runs.normalize_only, "normalize") == expected_hits &&
-      boundary_hits(gate_runs.full, "normalize") == expected_hits;
   bool gate = exact_reuse && no_stale_reuse && expected_reuse > 0 &&
-              depth_ordered && deep_restores_exact && shallow_restores_exact;
+              one_boundary && restores_exact;
   std::snprintf(
       buf, sizeof buf,
-      "  \"gate\": {\"cold_ms\": %.3f, \"normalize_only_ms\": %.3f, "
-      "\"full_ms\": %.3f, \"expected_reuse_per_round\": %zu, "
+      "  \"gate\": {\"cold_ms\": %.3f, \"full_ms\": %.3f, "
+      "\"expected_reuse_per_round\": %zu, "
       "\"exact_reuse\": %s, \"no_stale_reuse\": %s, "
-      "\"depth_ordered\": %s, \"deep_restores_exact\": %s, "
-      "\"shallow_restores_exact\": %s}\n}\n",
-      gate_runs.cold.min_ms, gate_runs.normalize_only.min_ms,
-      gate_runs.full.min_ms, expected_reuse, exact_reuse ? "true" : "false",
-      no_stale_reuse ? "true" : "false", depth_ordered ? "true" : "false",
-      deep_restores_exact ? "true" : "false",
-      shallow_restores_exact ? "true" : "false");
+      "\"one_boundary\": %s, \"restores_exact\": %s}\n}\n",
+      gate_runs.cold.min_ms, gate_runs.full.min_ms, expected_reuse,
+      exact_reuse ? "true" : "false", no_stale_reuse ? "true" : "false",
+      one_boundary ? "true" : "false", restores_exact ? "true" : "false");
   out += buf;
 
   std::fputs(out.c_str(), stdout);
@@ -322,13 +298,10 @@ bool run_headline(int rounds, bool write_file) {
     }
   }
   std::fprintf(stderr,
-               "bench_incr: edit %s invalidates %zu/%zu units; full-depth "
-               "edit %.3f ms vs normalize-only %.3f ms vs cold %.3f ms "
-               "(hit rate %.2f)\n",
+               "bench_incr: edit %s invalidates %zu/%zu units; one-unit edit "
+               "vs cold latency (mean): %s\n",
                leaf_edit().unit.c_str(), leaf_edit().invalidated,
-               gate_runs.units, gate_runs.full.mean_ms,
-               gate_runs.normalize_only.mean_ms, gate_runs.cold.mean_ms,
-               gate_runs.full.hit_rate);
+               gate_runs.units, ratios.c_str());
   return gate;
 }
 
@@ -371,8 +344,9 @@ int main(int argc, char** argv) {
     if (!gate) {
       std::fprintf(stderr,
                    "bench_incr: SMOKE FAIL — unit reuse did not match the "
-                   "dependence-closure bound, or snapshot depth did not pay "
-                   "off (see the \"gate\" block in BENCH_incr.json)\n");
+                   "dependence-closure bound, or a boundary other than "
+                   "parallelize snapshotted (see the \"gate\" block in "
+                   "BENCH_incr.json)\n");
       return 1;
     }
     std::fprintf(stderr, "bench_incr: smoke gate passed\n");

@@ -262,11 +262,15 @@ bool Worker::control(const net::Request& req, net::Response* resp) {
         resp->error = "unit_fill requires a \"boundary\"";
         return true;
       }
-      // The payload is opaque here — only the snapshotting pass that
-      // owns the boundary can validate it, and a bad payload is caught
-      // at restore time (the unit just recomputes).
+      // The cache decodes the payload into its live memory tier; bytes
+      // that are not a snapshot are refused, like an undecodable
+      // cache_fill.
       if (opts_.unit_cache) {
-        opts_.unit_cache->adopt(req.boundary, key, req.payload);
+        if (!opts_.unit_cache->adopt(req.boundary, key, req.payload)) {
+          resp->status = net::Status::Error;
+          resp->error = "undecodable unit_fill payload";
+          return true;
+        }
         unit_fills_received_.fetch_add(1);
       }
       return true;

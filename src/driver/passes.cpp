@@ -2,8 +2,8 @@
 
 #include "fir/parser.h"
 #include "fir/unparse.h"
+#include "incr/plan.h"
 #include "incr/unit_cache.h"
-#include "incr/unit_serial.h"
 #include "par/parallelizer.h"
 #include "sema/symbols.h"
 #include "xform/normalize.h"
@@ -42,12 +42,26 @@ class ParsePass : public pm::Pass {
   explicit ParsePass(PipelineContext& cx) : cx_(cx) {}
   std::string_view name() const override { return "parse"; }
 
+  // One lex per request: the parser reads the tokens, and with a unit
+  // cache attached the incremental plan is built from the same tokens
+  // (fingerprints) and the fresh, untransformed AST (dependence graph).
   void run(pm::PassState& st) override {
-    st.program = fir::parse_program(cx_.app->source, *st.diags);
+    std::vector<fir::Token> toks = fir::lex(cx_.app->source, *st.diags);
+    incr::SourceFingerprints fps;
+    if (!st.diags->has_errors()) {
+      if (cx_.artifacts)
+        fps = incr::fingerprint_units(toks, cx_.app->annotations);
+      st.program = fir::parse_tokens(std::move(toks), *st.diags);
+    }
     if (!st.program) {
       st.fail("parse failed:\n" + st.diags->render_all());
       return;
     }
+    if (cx_.artifacts)
+      cx_.artifacts->set_plan(incr::make_plan(
+          fps, *st.program,
+          cx_.opts.bidirectional_common ? incr::DepMode::Bidirectional
+                                        : incr::DepMode::Directed));
     if (!cx_.app->annotations.empty()) {
       DiagnosticEngine adiags;
       adiags.set_stream(cx_.app->name + ":annotations");
@@ -128,45 +142,6 @@ class NormalizePass : public pm::Pass {
     if (cx_.opts.par.normalize) xform::normalize_unit(unit);
   }
 
-  // Artifact hooks: the payload is the whole post-normalize unit
-  // (incr/unit_serial.h). A restore replaces the current post-inline unit
-  // with the cached normalized one, so a warm compile skips normalize for
-  // that unit. The driver only enrolls this boundary when par.normalize is
-  // on (a disabled normalize is a no-op not worth a payload).
-  bool snapshotable() const override { return true; }
-
-  std::string snapshot_unit_artifact(const fir::ProgramUnit& unit,
-                                     size_t) override {
-    return incr::serialize_unit(unit);
-  }
-
-  bool restore_unit_artifact(fir::ProgramUnit& unit, size_t,
-                             const std::string& payload) override {
-    auto restored = incr::deserialize_unit(payload);
-    if (!restored || !*restored) return false;
-    // The snapshot carries origin_ids from ITS parse; the parser numbers
-    // loops globally, so an edit elsewhere in the program can renumber
-    // this unit's loops without changing its content. normalize_unit never
-    // adds, removes or reorders DO statements, so the current (pre-
-    // normalize) unit's pre-order ids are reassigned positionally onto the
-    // restored body.
-    std::vector<int64_t> current_ids;
-    fir::walk_stmts(unit.body, [&](const fir::Stmt& s) {
-      if (s.kind == fir::StmtKind::Do) current_ids.push_back(s.origin_id);
-      return true;
-    });
-    std::vector<fir::Stmt*> restored_dos;
-    fir::walk_stmts((*restored)->body, [&](fir::Stmt& s) {
-      if (s.kind == fir::StmtKind::Do) restored_dos.push_back(&s);
-      return true;
-    });
-    if (current_ids.size() != restored_dos.size()) return false;
-    for (size_t i = 0; i < restored_dos.size(); ++i)
-      restored_dos[i]->origin_id = current_ids[i];
-    unit = std::move(**restored);
-    return true;
-  }
-
  private:
   PipelineContext& cx_;
 };
@@ -191,24 +166,27 @@ class ParallelizePass : public pm::Pass {
     slots_[unit_index] = par::parallelize_unit(unit, *sema_, cx_.opts.par);
   }
 
-  // Artifact hooks: the payload is the unit's OMP marks plus its
-  // ParallelizeResult ("APUNIT", incr/unit_cache.h). A restore re-applies
-  // the marks onto the freshly normalized unit (remapping verdict
-  // origin_ids onto the current parse's numbering) and fills the unit's
-  // result slot, so a warm compile skips dependence testing entirely.
+  // Artifact hooks: the artifact is the unit's OMP marks plus its
+  // ParallelizeResult (incr::UnitSnapshot, shared live by the unit
+  // cache). A restore re-applies the marks onto the freshly normalized
+  // unit (remapping verdict origin_ids onto the current parse's
+  // numbering) and fills the unit's result slot, so a warm compile skips
+  // dependence testing entirely.
   bool snapshotable() const override { return true; }
 
-  std::string snapshot_unit_artifact(const fir::ProgramUnit& unit,
-                                     size_t unit_index) override {
-    return incr::serialize_snapshot(
+  pm::ArtifactPtr snapshot_unit_artifact(const fir::ProgramUnit& unit,
+                                         size_t unit_index) override {
+    return std::make_shared<const incr::UnitSnapshot>(
         incr::snapshot_unit(unit, slots_[unit_index]));
   }
 
   bool restore_unit_artifact(fir::ProgramUnit& unit, size_t unit_index,
-                             const std::string& payload) override {
-    auto snap = incr::deserialize_snapshot(payload);
-    if (!snap || !incr::apply_snapshot(unit, *snap)) return false;
-    slots_[unit_index] = std::move(snap->par);
+                             const pm::Artifact& artifact) override {
+    auto* snap = dynamic_cast<const incr::UnitSnapshot*>(&artifact);
+    if (!snap) return false;
+    auto par = incr::apply_snapshot(unit, *snap);
+    if (!par) return false;
+    slots_[unit_index] = std::move(*par);
     return true;
   }
 
@@ -263,9 +241,17 @@ class CollectMetricsPass : public pm::Pass {
   explicit CollectMetricsPass(PipelineContext& cx) : cx_(cx) {}
   std::string_view name() const override { return "collect-metrics"; }
 
+  // One unparse per unit yields both the code-size metric and the final
+  // program text (fir::unparse's layout).
   void run(pm::PassState& st) override {
-    cx_.result->parallel_loops = collect_parallel_origins(*st.program);
-    cx_.result->code_lines = fir::code_size_lines(*st.program);
+    PipelineResult& r = *cx_.result;
+    r.parallel_loops = collect_parallel_origins(*st.program);
+    for (const auto& u : st.program->units) {
+      std::string text = fir::unparse_unit(*u);
+      if (!u->external_library) r.code_lines += fir::count_code_lines(text);
+      r.program_text += text;
+      r.program_text += '\n';
+    }
   }
 
  private:

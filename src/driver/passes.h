@@ -3,7 +3,8 @@
 // Pass names (stable identifiers, used by --stop-after/--print-after, the
 // per-pass timing records, telemetry and the wire protocol):
 //
-//   parse            — source + annotation-registry parsing (whole-program)
+//   parse            — source + annotation-registry parsing (whole-program);
+//                      with a unit cache, also the incremental plan
 //   conv-inline      — conventional inlining        (Conventional config)
 //   annot-inline     — annotation-based inlining    (Annotation config)
 //   normalize        — forward propagation + induction substitution (per-unit)
@@ -27,18 +28,21 @@
 #include <vector>
 
 #include "driver/pipeline.h"
+#include "incr/artifacts.h"
 #include "pm/pass.h"
 
 namespace ap::driver {
 
 // Mutable driver state shared by the passes beyond the program itself:
 // the input app, the options, the annotation registry (populated by parse,
-// read by annot-inline and reverse-inline) and the result being built.
-// Must outlive the PassManager run.
+// read by annot-inline and reverse-inline), the unit tier's artifact
+// store (null without a unit cache; parse hands it the request's plan)
+// and the result being built. Must outlive the PassManager run.
 struct PipelineContext {
   const suite::BenchmarkApp* app = nullptr;
   PipelineOptions opts;
   annot::AnnotationRegistry registry;
+  incr::PassArtifacts* artifacts = nullptr;
   PipelineResult* result = nullptr;
 };
 

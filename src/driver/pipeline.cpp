@@ -4,7 +4,6 @@
 
 #include "driver/passes.h"
 #include "incr/artifacts.h"
-#include "incr/plan.h"
 #include "interp/interp.h"
 #include "support/fnv.h"
 #include "support/thread_pool.h"
@@ -57,33 +56,6 @@ uint64_t hash_pipeline_options(uint64_t h, const PipelineOptions& o) {
   return h;
 }
 
-namespace {
-
-// Option hash for the normalize boundary: everything that shapes a unit's
-// text at that point in the pipeline — the inlining configuration and its
-// knobs plus whether normalize itself runs. Deliberately EXCLUDES the
-// dependence-test options (par.min_trip, Banerjee, ...): a normalize-
-// boundary artifact stays valid when only the parallelizer's options
-// change, which is exactly what makes the boundary worth snapshotting.
-uint64_t hash_normalize_boundary(const PipelineOptions& o) {
-  uint64_t h = kFnvOffset;
-  h = fnv_u64(h, static_cast<uint64_t>(static_cast<int>(o.config)));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_stmts));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_callee_calls));
-  h = fnv_u64(h, (o.conv.require_in_loop ? 1u : 0u) |
-                     (o.conv.eliminate_dead_units ? 2u : 0u));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_passes));
-  h = fnv_u64(h, o.annot.require_in_loop ? 1u : 0u);
-  h = fnv_u64(h, o.par.normalize ? 1u : 0u);
-  return h;
-}
-
-bool boundary_enabled(const PipelineOptions& o, const std::string& name) {
-  return o.snapshot_boundaries.empty() || o.snapshot_boundaries.count(name);
-}
-
-}  // namespace
-
 PipelineResult run_pipeline(const suite::BenchmarkApp& app,
                             const PipelineOptions& opts) {
   using clock = std::chrono::steady_clock;
@@ -93,9 +65,16 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
   DiagnosticEngine diags;
   diags.set_stream(app.name);
 
+  // The unit tier's artifact store; the parse pass hands it the plan.
+  std::unique_ptr<incr::PassArtifacts> artifacts;
+  if (opts.unit_cache)
+    artifacts = std::make_unique<incr::PassArtifacts>(
+        opts.unit_cache, "parallelize", hash_pipeline_options(kFnvOffset, opts));
+
   PipelineContext cx;
   cx.app = &app;
   cx.opts = opts;
+  cx.artifacts = artifacts.get();
   cx.result = &result;
 
   pm::PassManagerOptions mopts;
@@ -109,28 +88,7 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
     local_pool = std::make_unique<ThreadPool>(opts.unit_threads);
     mopts.pool = local_pool.get();
   }
-
-  // Pass-boundary artifact store: one plan over the ORIGINAL source serves
-  // every snapshotting pass; the artifact layer scopes each boundary with
-  // its own option hash. The plan fingerprints the pre-inline CALL/COMMON
-  // graph, so a post-inline unit's key covers every input that can shape
-  // it (inlining only moves content inward from the closure; the inliners'
-  // fresh-name counters are per-unit deterministic). Unusable plans (token
-  // split disagreeing with the parse) degrade to compiling every unit.
-  std::unique_ptr<incr::PassArtifacts> artifacts;
-  if (opts.unit_cache) {
-    incr::IncrPlan plan = incr::make_plan(
-        app.source, app.annotations,
-        opts.bidirectional_common ? incr::DepMode::Bidirectional
-                                  : incr::DepMode::Directed);
-    artifacts =
-        std::make_unique<incr::PassArtifacts>(std::move(plan), opts.unit_cache);
-    if (opts.par.normalize && boundary_enabled(opts, "normalize"))
-      artifacts->enroll("normalize", hash_normalize_boundary(opts));
-    if (boundary_enabled(opts, "parallelize"))
-      artifacts->enroll("parallelize", hash_pipeline_options(kFnvOffset, opts));
-    mopts.artifacts = artifacts.get();
-  }
+  mopts.artifacts = artifacts.get();
 
   pm::PassManager manager(mopts);
   for (auto& p : build_pass_sequence(cx)) manager.add(std::move(p));
@@ -142,8 +100,7 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
   result.timings.passes = manager.records();
   result.print_dump = manager.print_dump();
   result.stopped_early = manager.stopped_early();
-  // Request-level unit counters keep their historical meaning: the
-  // deepest boundary's outcome. Per-boundary detail stays in the records.
+  // Request-level unit counters: the parallelize boundary's outcome.
   if (const pm::PassRecord* rec = result.timings.find("parallelize")) {
     result.unit_hits = static_cast<size_t>(rec->unit_hits);
     result.unit_misses = static_cast<size_t>(rec->unit_misses);

@@ -66,20 +66,15 @@ struct PipelineOptions {
   ThreadPool* unit_pool = nullptr;  // shared pool (overrides unit_threads)
   bool verify = false;  // force the AST verifier (also on via AP_VERIFY)
 
-  // Unit-granular incremental cache (src/incr). When set, every
-  // snapshotting pass boundary (normalize, parallelize) consults it per
-  // unit (keyed by the unit's dependence-closure fingerprint x boundary
-  // option hash x pass-sequence prefix) and stores fresh artifacts.
-  // Semantics-neutral like the execution knobs above — hits are
-  // bit-identical to a cold compile — and therefore NOT part of the
-  // request cache key.
+  // Unit-granular incremental cache (src/incr). When set, the parse pass
+  // also builds the request's incremental plan, and the parallelize
+  // boundary — the pipeline's one snapshot boundary — consults the cache
+  // per unit (keyed by the unit's dependence-closure fingerprint x the
+  // pipeline option hash x pass-sequence prefix), restoring live
+  // snapshots and storing fresh ones. Semantics-neutral like the
+  // execution knobs above — hits are bit-identical to a cold compile —
+  // and therefore NOT part of the request cache key.
   incr::UnitCache* unit_cache = nullptr;
-
-  // Which pass boundaries may snapshot/restore (empty = all). Execution
-  // knob for benches and ablations (e.g. {"normalize"} measures how much
-  // a normalize-only resume saves); semantics-neutral, NOT part of the
-  // key.
-  std::set<std::string> snapshot_boundaries;
 
   // Verification mode: build the incremental plan with the historical
   // symmetric COMMON dependence rule instead of the directed
@@ -124,6 +119,9 @@ struct PipelineResult {
   // counted once" metric (§IV.A).
   std::set<int64_t> parallel_loops;
   size_t code_lines = 0;
+  // fir::unparse of the final program, rendered by collect-metrics ("" when
+  // stop_after ended the sequence before it).
+  std::string program_text;
 
   // Unparsed program captured by print_after ("" when unset).
   std::string print_dump;

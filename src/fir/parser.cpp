@@ -715,6 +715,11 @@ std::unique_ptr<Program> parse_program(std::string_view source,
                                        DiagnosticEngine& diags) {
   auto toks = lex(source, diags);
   if (diags.has_errors()) return nullptr;
+  return parse_tokens(std::move(toks), diags);
+}
+
+std::unique_ptr<Program> parse_tokens(std::vector<Token> toks,
+                                      DiagnosticEngine& diags) {
   Parser p(std::move(toks), diags);
   return p.parse();
 }

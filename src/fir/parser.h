@@ -17,6 +17,7 @@
 #include <string_view>
 
 #include "fir/ast.h"
+#include "fir/lexer.h"
 #include "support/diagnostics.h"
 
 namespace ap::fir {
@@ -25,6 +26,12 @@ namespace ap::fir {
 // was reported. On success every DO loop has been assigned an origin_id.
 std::unique_ptr<Program> parse_program(std::string_view source,
                                        DiagnosticEngine& diags);
+
+// Parse from the token stream fir::lex produced without errors. Lets a
+// caller that also reads the tokens (the incremental fingerprints) lex
+// the source once.
+std::unique_ptr<Program> parse_tokens(std::vector<Token> toks,
+                                      DiagnosticEngine& diags);
 
 // Parse a single expression (testing convenience).
 ExprPtr parse_expression(std::string_view source, DiagnosticEngine& diags);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "fir/ast.h"
 
@@ -25,5 +26,10 @@ std::string unparse_stmt(const Stmt& s, const UnparseOptions& opts = {});
 // removed (tags are comments; OMP directives count as code since the paper's
 // output growth "is mostly due to the extra OpenMP directives").
 size_t code_size_lines(const Program& prog);
+
+// The same metric over one rendered unit: non-empty lines, `C$` comment
+// lines (tags) skipped. Lets a caller that renders the program anyway
+// count without a second unparse.
+size_t count_code_lines(std::string_view unit_text);
 
 }  // namespace ap::fir

@@ -5,13 +5,12 @@
 
 namespace ap::incr {
 
-uint64_t PassArtifacts::full_key(std::string_view pass_name,
-                                 uint64_t prefix_fp, const PlanEntry& entry,
-                                 uint64_t opts_hash) const {
+uint64_t PassArtifacts::full_key(uint64_t prefix_fp,
+                                 const PlanEntry& entry) const {
   uint64_t h = entry.key;
-  h = fnv_u64(h, opts_hash);
+  h = fnv_u64(h, opts_hash_);
   h = fnv_u64(h, prefix_fp);
-  h = fnv1a(h, pass_name);
+  h = fnv1a(h, boundary_);
   return h;
 }
 
@@ -19,18 +18,16 @@ pm::ArtifactProbe PassArtifacts::find_unit(std::string_view pass_name,
                                            uint64_t prefix_fp,
                                            const std::string& unit_name) {
   pm::ArtifactProbe probe;
-  if (!cache_) return probe;
-  auto bit = boundaries_.find(pass_name);
-  if (bit == boundaries_.end()) return probe;
+  if (pass_name != boundary_) return probe;
   probe.participating = true;
 
   const PlanEntry* entry = plan_.usable ? plan_.find(unit_name) : nullptr;
   if (!entry) return probe;  // unusable plan: every unit is a plain miss
 
-  uint64_t key = full_key(pass_name, prefix_fp, *entry, bit->second);
-  UnitFindResult r = cache_->find(bit->first, key, entry->own_fp);
+  UnitFindResult r =
+      cache_->find(boundary_, full_key(prefix_fp, *entry), entry->own_fp);
   probe.invalidated = r.invalidated;
-  probe.payload = std::move(r.payload);
+  probe.payload = std::move(r.snapshot);
   switch (r.tier) {
     case UnitTier::None:
       probe.tier = pm::ArtifactTier::None;
@@ -50,14 +47,13 @@ pm::ArtifactProbe PassArtifacts::find_unit(std::string_view pass_name,
 
 void PassArtifacts::store_unit(std::string_view pass_name, uint64_t prefix_fp,
                                const std::string& unit_name,
-                               const std::string& payload) {
-  if (!cache_) return;
-  auto bit = boundaries_.find(pass_name);
-  if (bit == boundaries_.end()) return;
+                               pm::ArtifactPtr payload) {
+  if (pass_name != boundary_) return;
   const PlanEntry* entry = plan_.usable ? plan_.find(unit_name) : nullptr;
-  if (!entry) return;
-  uint64_t key = full_key(pass_name, prefix_fp, *entry, bit->second);
-  cache_->store(bit->first, key, entry->own_fp, payload);
+  auto snap = std::dynamic_pointer_cast<const UnitSnapshot>(std::move(payload));
+  if (!entry || !snap) return;
+  cache_->store(boundary_, full_key(prefix_fp, *entry), entry->own_fp,
+                std::move(snap));
 }
 
 }  // namespace ap::incr

@@ -1,29 +1,28 @@
 // The production pm::ArtifactStore: binds one compile request's IncrPlan
-// (content-closure keys, incr/plan.h) to the process-wide UnitCache.
+// (content-closure keys, incr/plan.h) to the process-wide UnitCache at
+// the pipeline's one snapshot boundary, `parallelize`.
 //
-// Full key for a (pass, unit) artifact:
+// Full key for a unit's artifact:
 //
 //   key = FNV( plan-entry key            — closure content hash,
-//              boundary option hash      — the options that shape this
+//              boundary option hash      — the options that shape the
 //                                          boundary's output,
 //              pass-sequence prefix fp   — which passes ran before,
 //              pass name )
 //
-// Only enrolled boundaries participate: the driver registers each
-// snapshotting pass with its option hash (enroll()), so e.g. the
-// normalize boundary is keyed by the inliner+normalize options while the
-// parallelize boundary is keyed by the whole pipeline hash. A pass not
-// enrolled — or filtered out by --snapshot-boundaries — probes as
-// not-participating and the manager runs it normally with zero counters.
+// Any other pass probes as not-participating and the manager runs it
+// normally with zero counters. Artifacts pass through as live
+// UnitSnapshot objects; nothing here serializes.
 //
-// When the plan is unusable (defensive token-split mismatch) or a unit is
-// unknown to it, the probe still reports participating=true with no
-// payload: every unit counts as a miss, preserving the historical
-// "plan unusable → all misses" accounting, and nothing is stored.
+// The plan arrives from the parse pass (set_plan), which builds it from
+// the tokens and the AST it has just produced. While the plan is unset or
+// unusable (defensive token-split mismatch), or a unit is unknown to it,
+// the probe still reports participating=true with no payload: every unit
+// counts as a miss, preserving the historical "plan unusable → all
+// misses" accounting, and nothing is stored.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 
@@ -36,30 +35,28 @@ class UnitCache;
 
 class PassArtifacts : public pm::ArtifactStore {
  public:
-  // `cache` may be null (e.g. CLI run without a cache): every probe is
-  // then not-participating. The plan is copied; it is per-request state.
-  PassArtifacts(IncrPlan plan, UnitCache* cache)
-      : plan_(std::move(plan)), cache_(cache) {}
+  // `cache` (not owned, non-null) serves the pass named `boundary`, keyed
+  // by `opts_hash`.
+  PassArtifacts(UnitCache* cache, std::string boundary, uint64_t opts_hash)
+      : cache_(cache), boundary_(std::move(boundary)), opts_hash_(opts_hash) {}
 
-  // Registers `pass_name` as a snapshot boundary keyed by `opts_hash`.
-  void enroll(const std::string& pass_name, uint64_t opts_hash) {
-    boundaries_[pass_name] = opts_hash;
-  }
+  void set_plan(IncrPlan plan) { plan_ = std::move(plan); }
+  const IncrPlan& plan() const { return plan_; }
 
   pm::ArtifactProbe find_unit(std::string_view pass_name, uint64_t prefix_fp,
                               const std::string& unit_name) override;
   void store_unit(std::string_view pass_name, uint64_t prefix_fp,
                   const std::string& unit_name,
-                  const std::string& payload) override;
+                  pm::ArtifactPtr payload) override;
 
  private:
-  // 0 when the boundary is not enrolled or the plan has no entry.
-  uint64_t full_key(std::string_view pass_name, uint64_t prefix_fp,
-                    const PlanEntry& entry, uint64_t opts_hash) const;
+  // The full key of the unit `entry` describes (see the header comment).
+  uint64_t full_key(uint64_t prefix_fp, const PlanEntry& entry) const;
 
-  IncrPlan plan_;
   UnitCache* cache_;
-  std::map<std::string, uint64_t, std::less<>> boundaries_;  // name -> hash
+  std::string boundary_;
+  uint64_t opts_hash_;
+  IncrPlan plan_;
 };
 
 }  // namespace ap::incr

@@ -7,6 +7,7 @@
 #include "fir/lexer.h"
 #include "support/diagnostics.h"
 #include "support/fnv.h"
+#include "support/text.h"
 
 namespace ap::incr {
 
@@ -79,17 +80,10 @@ void hash_annotations(std::string_view annotations,
   flush();
 }
 
-struct RawSplit {
-  bool ok = false;
-  std::vector<UnitFingerprint> units;
-};
-
-RawSplit split_source(std::string_view source) {
-  RawSplit out;
-  DiagnosticEngine diags;
-  auto toks = fir::lex(source, diags);
-  if (diags.has_errors()) return out;
-
+// The token-level unit split: names and own-token hashes, before any
+// annotation folding.
+SourceFingerprints split_units(const std::vector<fir::Token>& toks) {
+  SourceFingerprints out;
   bool at_stmt_start = true;
   bool pending_library = false;
   bool have_unit = false;
@@ -125,10 +119,16 @@ RawSplit split_source(std::string_view source) {
 
 SourceFingerprints fingerprint_units(std::string_view source,
                                      std::string_view annotations) {
-  SourceFingerprints out;
-  RawSplit split = split_source(source);
-  if (!split.ok) return out;
-  out.units = std::move(split.units);
+  DiagnosticEngine diags;
+  auto toks = fir::lex(source, diags);
+  if (diags.has_errors()) return {};
+  return fingerprint_units(toks, annotations);
+}
+
+SourceFingerprints fingerprint_units(const std::vector<fir::Token>& source_toks,
+                                     std::string_view annotations) {
+  SourceFingerprints out = split_units(source_toks);
+  if (!out.ok) return out;
 
   std::map<std::string, uint64_t> annot_by_name;
   uint64_t salt = kFnvOffset;
@@ -146,38 +146,20 @@ SourceFingerprints fingerprint_units(std::string_view source,
   }
   if (salt != kFnvOffset)
     for (auto& u : out.units) u.fp = fnv_u64(u.fp, salt);
-  out.ok = true;
   return out;
 }
 
 std::vector<std::string> source_unit_names(std::string_view source) {
   std::vector<std::string> names;
-  for (auto& u : split_source(source).units) names.push_back(u.name);
+  for (auto& u : fingerprint_units(source, "").units) names.push_back(u.name);
   return names;
 }
-
-namespace {
-
-std::string_view trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
-}  // namespace
 
 std::string mutate_unit(std::string_view source, std::string_view unit_name,
                         int salt) {
   // Line scan: find the header line of `unit_name`, then the first
   // top-level END line after it, and insert the edit statement before it.
-  std::string target = upper(unit_name);
+  std::string target = fold_upper(unit_name);
   std::string out;
   out.reserve(source.size() + 32);
   bool in_target = false;
@@ -187,7 +169,7 @@ std::string mutate_unit(std::string_view source, std::string_view unit_name,
     size_t nl = source.find('\n', pos);
     std::string_view line = source.substr(
         pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    std::string t = upper(trim(line));
+    std::string t = fold_upper(trim(line));
     bool comment = !line.empty() && (line[0] == 'C' || line[0] == 'c' ||
                                      line[0] == '*' || line[0] == '!');
     if (!comment) {

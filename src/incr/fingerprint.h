@@ -24,6 +24,8 @@
 #include <string_view>
 #include <vector>
 
+#include "fir/lexer.h"
+
 namespace ap::incr {
 
 struct UnitFingerprint {
@@ -39,6 +41,11 @@ struct SourceFingerprints {
 // Fingerprint every unit of `source`, folding `annotations` entries into
 // the units they name.
 SourceFingerprints fingerprint_units(std::string_view source,
+                                     std::string_view annotations);
+
+// The same over `source`'s error-free token stream, for a caller that
+// parses from those tokens too (the pipeline's parse pass).
+SourceFingerprints fingerprint_units(const std::vector<fir::Token>& source_toks,
                                      std::string_view annotations);
 
 // The unit names of `source` in source order (token-level split; empty on

@@ -54,7 +54,8 @@ UnitSnapshot snapshot_unit(const fir::ProgramUnit& unit,
   return snap;
 }
 
-bool apply_snapshot(fir::ProgramUnit& unit, UnitSnapshot& snap) {
+std::optional<par::ParallelizeResult> apply_snapshot(
+    fir::ProgramUnit& unit, const UnitSnapshot& snap) {
   // First pass: collect DO pointers in pre-order (the same enumeration
   // snapshot_unit used) and check the shape matches.
   std::vector<fir::Stmt*> dos;
@@ -62,32 +63,33 @@ bool apply_snapshot(fir::ProgramUnit& unit, UnitSnapshot& snap) {
     if (s.kind == fir::StmtKind::Do) dos.push_back(&s);
     return true;
   });
-  if (dos.size() != snap.do_count) return false;
+  if (dos.size() != snap.do_count) return std::nullopt;
   for (const auto& m : snap.marks)
-    if (m.do_index >= dos.size()) return false;
+    if (m.do_index >= dos.size()) return std::nullopt;
 
   // Remap the snapshot's verdict origin_ids onto the current parse's ids
   // (an edit elsewhere in the program can renumber every later loop).
   // Positional: the i-th pre-order DO at snapshot time is the i-th now —
   // the key guarantees identical unit content. A conflicting map (same
   // old id at two positions with different new ids) bails to recompute.
+  par::ParallelizeResult par = snap.par;
   if (snap.origin_ids.size() == dos.size()) {
     std::map<int64_t, int64_t> remap;
     for (size_t i = 0; i < dos.size(); ++i) {
       auto [it, inserted] =
           remap.emplace(snap.origin_ids[i], dos[i]->origin_id);
-      if (!inserted && it->second != dos[i]->origin_id) return false;
+      if (!inserted && it->second != dos[i]->origin_id) return std::nullopt;
     }
-    for (auto& v : snap.par.loops) {
+    for (auto& v : par.loops) {
       auto it = remap.find(v.origin_id);
       if (it != remap.end()) v.origin_id = it->second;
     }
   } else if (!snap.origin_ids.empty()) {
-    return false;
+    return std::nullopt;
   }
 
   for (const auto& m : snap.marks) dos[m.do_index]->omp = m.omp;
-  return true;
+  return par;
 }
 
 std::string serialize_snapshot(const UnitSnapshot& snap) {
@@ -230,52 +232,51 @@ std::string UnitCache::disk_path(uint64_t key) const {
   return disk_dir_ + "/" + hex16(key) + ".apu";
 }
 
-std::optional<std::string> UnitCache::probe_local_locked(
-    const std::string& boundary, uint64_t key, UnitTier* tier) {
+SnapshotPtr UnitCache::probe_local_locked(uint64_t key, UnitTier* tier) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_[boundary].memory_hits;
     *tier = UnitTier::Memory;
     return it->second->second;
   }
-  if (!disk_dir_.empty()) {
-    std::ifstream f(disk_path(key), std::ios::binary);
-    if (f) {
-      std::ostringstream buf;
-      buf << f.rdbuf();
-      std::string payload = buf.str();
-      if (!payload.empty()) {
-        insert_memory_locked(key, payload);
-        ++stats_[boundary].disk_hits;
-        *tier = UnitTier::Disk;
-        return payload;
-      }
-    }
-  }
-  return std::nullopt;
+  if (disk_dir_.empty()) return nullptr;
+  std::ifstream f(disk_path(key), std::ios::binary);
+  if (!f) return nullptr;
+  std::ostringstream buf;
+  buf << f.rdbuf();
+  auto snap = deserialize_snapshot(buf.str());
+  if (!snap) return nullptr;  // torn or foreign file: a miss
+  SnapshotPtr shared = std::make_shared<const UnitSnapshot>(std::move(*snap));
+  insert_memory_locked(key, shared);
+  *tier = UnitTier::Disk;
+  return shared;
 }
 
 UnitFindResult UnitCache::find(const std::string& boundary, uint64_t key,
                                uint64_t own_fp) {
   UnitFindResult res;
   std::unique_lock<std::mutex> lock(mu_);
-  if (auto payload = probe_local_locked(boundary, key, &res.tier)) {
-    res.payload = std::move(payload);
+  res.snapshot = probe_local_locked(key, &res.tier);
+  if (res.snapshot) {
+    IncrStats& st = stats_[boundary];
+    ++(res.tier == UnitTier::Memory ? st.memory_hits : st.disk_hits);
     return res;
   }
   PeerLookup peer = peer_lookup_;
   if (peer) {
-    // Network I/O outside the mutex; other lanes keep probing meanwhile.
+    // Network I/O and decoding outside the mutex; other lanes keep
+    // probing meanwhile.
     lock.unlock();
-    auto payload = peer(boundary, key);
+    std::optional<std::string> payload = peer(boundary, key);
+    std::optional<UnitSnapshot> snap;
+    if (payload) snap = deserialize_snapshot(*payload);
     lock.lock();
-    if (payload) {
-      insert_memory_locked(key, *payload);
+    if (snap) {
+      res.snapshot = std::make_shared<const UnitSnapshot>(std::move(*snap));
+      insert_memory_locked(key, res.snapshot);
       write_disk_locked(key, *payload);
       ++stats_[boundary].peer_hits;
       res.tier = UnitTier::Peer;
-      res.payload = std::move(payload);
       return res;
     }
   }
@@ -291,47 +292,42 @@ UnitFindResult UnitCache::find(const std::string& boundary, uint64_t key,
 }
 
 void UnitCache::store(const std::string& boundary, uint64_t key,
-                      uint64_t own_fp, const std::string& payload) {
+                      uint64_t own_fp, SnapshotPtr snap) {
   StoreHook hook;
+  std::string payload;  // bytes only for the disk and peer edges
   {
     std::lock_guard<std::mutex> lock(mu_);
-    insert_memory_locked(key, payload);
+    hook = store_hook_;
+    if (!disk_dir_.empty() || hook) payload = serialize_snapshot(*snap);
+    insert_memory_locked(key, std::move(snap));
     last_key_by_fp_[boundary][own_fp] = key;
     ++stats_[boundary].stores;
     write_disk_locked(key, payload);
-    hook = store_hook_;
   }
   if (hook) hook(boundary, key, payload);
 }
 
 std::optional<std::string> UnitCache::peek(uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
+  SnapshotPtr snap;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    UnitTier tier = UnitTier::None;
+    snap = probe_local_locked(key, &tier);
   }
-  if (!disk_dir_.empty()) {
-    std::ifstream f(disk_path(key), std::ios::binary);
-    if (f) {
-      std::ostringstream buf;
-      buf << f.rdbuf();
-      std::string payload = buf.str();
-      if (!payload.empty()) {
-        insert_memory_locked(key, payload);
-        return payload;
-      }
-    }
-  }
-  return std::nullopt;
+  if (!snap) return std::nullopt;
+  return serialize_snapshot(*snap);
 }
 
-void UnitCache::adopt(const std::string& boundary, uint64_t key,
+bool UnitCache::adopt(const std::string& boundary, uint64_t key,
                       const std::string& payload) {
   (void)boundary;  // payloads adopt into the shared keyspace
+  auto snap = deserialize_snapshot(payload);
+  if (!snap) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  insert_memory_locked(key, payload);
+  insert_memory_locked(key,
+                       std::make_shared<const UnitSnapshot>(std::move(*snap)));
   write_disk_locked(key, payload);
+  return true;
 }
 
 void UnitCache::write_disk_locked(uint64_t key, const std::string& payload) {
@@ -357,14 +353,14 @@ void UnitCache::write_disk_locked(uint64_t key, const std::string& payload) {
   if (budget_) budget_->charge(path, old_size, payload.size());
 }
 
-void UnitCache::insert_memory_locked(uint64_t key, const std::string& payload) {
+void UnitCache::insert_memory_locked(uint64_t key, SnapshotPtr snap) {
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = payload;
+    it->second->second = std::move(snap);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, payload);
+  lru_.emplace_front(key, std::move(snap));
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);

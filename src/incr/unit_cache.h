@@ -1,14 +1,13 @@
-// Unit-level artifact store: opaque per-unit snapshots keyed by the
-// pass-boundary key the artifact layer computes (incr/artifacts.h —
-// closure content hash x boundary option hash x pass-sequence prefix), one
-// keyspace shared by every snapshotting pass. The cache itself never
-// interprets a payload; each pass serializes and restores its own state
-// ("APUNIT ..." for the parallelize boundary, "APUSER ..." for the
-// normalize boundary) and correctness never rests on the restore — a
-// payload that fails to apply is simply recomputed.
+// Unit-level artifact store for the parallelize pass boundary: per-unit
+// snapshots (UnitSnapshot below) keyed by the key the artifact layer
+// computes (incr/artifacts.h — closure content hash x boundary option hash
+// x pass-sequence prefix). Correctness never rests on a snapshot: one
+// that fails to apply is simply recomputed.
 //
 // Four tiers, probed in order:
-//   memory — LRU over payload strings, bounded by entry count;
+//   memory — LRU of live, immutable UnitSnapshot objects shared by
+//            pointer, bounded by entry count. A memory hit costs a map
+//            lookup: no bytes are parsed or copied;
 //   disk   — optional, under `<cache-dir>/units/` with one `<hex-key>.apu`
 //            file per artifact (dist-clang's file_cache shape), written
 //            atomically (temp + rename). When a support::DiskBudget is
@@ -22,6 +21,10 @@
 //            (unit_fill).
 //   (recompute — the caller's job.)
 //
+// serialize_snapshot/deserialize_snapshot run only at the disk and peer
+// edges, and the bytes there are the "APUNIT" format below; a payload
+// that does not decode is a miss.
+//
 // Entries are only ever superseded — a changed input changes the key — so
 // there is no staleness.
 //
@@ -30,14 +33,14 @@
 // under a different key means the unit itself is unchanged but a
 // dependency changed — counted as invalidated_by_dep (the telemetry that
 // proves the invalidation rule touches only the dependence closure).
-// Stats are kept per boundary so telemetry can show WHERE in the pipeline
-// edits resume.
+// Stats are kept per boundary name (the snapshotting pass).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -46,6 +49,7 @@
 
 #include "fir/ast.h"
 #include "par/parallelizer.h"
+#include "pm/pass.h"
 
 namespace ap::support {
 class DiskBudget;
@@ -68,7 +72,7 @@ struct OmpMark {
   fir::OmpInfo omp;
 };
 
-struct UnitSnapshot {
+struct UnitSnapshot : pm::Artifact {
   size_t do_count = 0;           // total DO statements (apply-time check)
   std::vector<OmpMark> marks;    // loops carrying non-default OMP state
   // origin_id of every DO in pre-order at snapshot time: apply remaps the
@@ -83,14 +87,18 @@ struct UnitSnapshot {
 UnitSnapshot snapshot_unit(const fir::ProgramUnit& unit,
                            const par::ParallelizeResult& par);
 
-// Re-applies `snap`'s marks onto a freshly normalized `unit`, remapping
-// the snapshot's verdict origin_ids onto the unit's current ids (see
-// UnitSnapshot::origin_ids — `snap` is mutated). Returns false (leaving
-// the unit untouched) when the DO shape does not match — the caller
-// recomputes; correctness never rests on the apply.
-bool apply_snapshot(fir::ProgramUnit& unit, UnitSnapshot& snap);
+// Re-applies `snap`'s marks onto a freshly normalized `unit` and returns
+// the unit's ParallelizeResult with its verdict origin_ids remapped onto
+// the unit's current ids (see UnitSnapshot::origin_ids; `snap` itself is
+// shared and stays untouched). Returns nullopt (leaving the unit
+// untouched) when the DO shape does not match — the caller recomputes;
+// correctness never rests on the apply.
+std::optional<par::ParallelizeResult> apply_snapshot(fir::ProgramUnit& unit,
+                                                     const UnitSnapshot& snap);
 
-// Serialization for the disk tier (exposed for tests).
+using SnapshotPtr = std::shared_ptr<const UnitSnapshot>;
+
+// The disk and wire bytes of a snapshot (exposed for tests).
 std::string serialize_snapshot(const UnitSnapshot& snap);
 std::optional<UnitSnapshot> deserialize_snapshot(std::string_view text);
 
@@ -115,7 +123,7 @@ struct IncrStats {
 enum class UnitTier : uint8_t { None, Memory, Disk, Peer };
 
 struct UnitFindResult {
-  std::optional<std::string> payload;
+  SnapshotPtr snapshot;  // null on a miss
   UnitTier tier = UnitTier::None;
   bool invalidated = false;  // miss; own unit unchanged, dependency changed
 };
@@ -150,15 +158,16 @@ class UnitCache {
   // Thread-safe. Stores under `key`; mirrors to disk when enabled, then
   // fires the store hook.
   void store(const std::string& boundary, uint64_t key, uint64_t own_fp,
-             const std::string& payload);
+             SnapshotPtr snap);
 
-  // Peer-serving probe (wire unit_probe): memory+disk by key, no miss
-  // accounting, never consults the peer hook.
+  // Peer-serving probe (wire unit_probe): the serialized snapshot from
+  // memory+disk by key, no miss accounting, never consults the peer hook.
   std::optional<std::string> peek(uint64_t key);
 
-  // Accepts a payload pushed by a peer (wire unit_fill): memory+disk, no
-  // store-hook recursion, no fingerprint bookkeeping.
-  void adopt(const std::string& boundary, uint64_t key,
+  // Accepts a serialized snapshot pushed by a peer (wire unit_fill):
+  // memory+disk, no store-hook recursion, no fingerprint bookkeeping.
+  // False (nothing stored) when the payload does not decode.
+  bool adopt(const std::string& boundary, uint64_t key,
              const std::string& payload);
 
   IncrStats stats() const;  // aggregate over boundaries
@@ -168,19 +177,20 @@ class UnitCache {
 
  private:
   std::string disk_path(uint64_t key) const;
-  void insert_memory_locked(uint64_t key, const std::string& payload);
+  void insert_memory_locked(uint64_t key, SnapshotPtr snap);
   void write_disk_locked(uint64_t key, const std::string& payload);
-  std::optional<std::string> probe_local_locked(const std::string& boundary,
-                                                uint64_t key, UnitTier* tier);
+  // Memory, then disk (promoting a decodable file into memory); null when
+  // neither holds `key`.
+  SnapshotPtr probe_local_locked(uint64_t key, UnitTier* tier);
 
   const size_t capacity_;
   const std::string disk_dir_;
   support::DiskBudget* budget_;  // not owned; may be null
 
   mutable std::mutex mu_;
-  std::list<std::pair<uint64_t, std::string>> lru_;  // MRU first
+  std::list<std::pair<uint64_t, SnapshotPtr>> lru_;  // MRU first
   std::unordered_map<uint64_t,
-                     std::list<std::pair<uint64_t, std::string>>::iterator>
+                     std::list<std::pair<uint64_t, SnapshotPtr>>::iterator>
       index_;
   // (boundary, unit fingerprint) -> last stored key, for miss
   // classification.

@@ -1,25 +1,14 @@
-// Exact serializer for one fir::ProgramUnit: the payload of the
-// `normalize` pass-boundary artifact (incr/artifacts.h).
+// Exact serializer for one fir::ProgramUnit. Only the benchmark's
+// incr.snapshot_* probe and this module's tests call it.
 //
-// Unlike the whole-request tier, which round-trips programs through
-// fir::unparse + reparse, a pass-boundary snapshot must reproduce the
-// mid-pipeline AST EXACTLY — reparsing would renumber origin_ids, lose
-// source locations and annot_imported flags, and reject mid-pipeline
-// constructs (TaggedRegion bodies, unknown()/unique() operators) that are
-// only legal inside the annotation window. This serializer therefore
-// walks the AST directly and restores every semantic field bit-for-bit:
+// It walks the AST and restores every semantic field bit-for-bit —
 // statement and expression kinds, literals (doubles as hexfloat),
 // declarations, COMMON blocks, OMP metadata, origin/tag ids and source
-// locations.
-//
-// The format is a flat space-separated token stream with length-prefixed
-// strings — hand-rolled append/scan, no iostreams — because restore speed
-// is the whole point: resuming a unit at the normalize boundary only pays
-// off while deserializing is cheaper than re-running normalization.
+// locations — where an unparse + reparse round trip would renumber
+// origin_ids, lose locations and reject mid-pipeline constructs.
 //
 // deserialize_unit returns nullopt on any malformed input (truncated
-// stream, unknown kind byte, trailing garbage); callers fall back to
-// recomputing — correctness never rests on the restore.
+// stream, unknown kind byte, trailing garbage).
 #pragma once
 
 #include <memory>

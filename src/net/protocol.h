@@ -175,8 +175,8 @@ struct Request {
   bool leaving = false; // heartbeat: graceful departure announcement
   std::string key;      // cache_probe, cache_fill, unit_probe/fill (hex)
   std::string payload;  // cache_fill / unit_fill: serialized payload
-  // unit_fill: the snapshotting pass's name ("normalize", "parallelize")
-  // — the receiver's stats bucket for the adopted artifact.
+  // unit_fill: the snapshotting pass's name — "parallelize", the one
+  // boundary — the receiver's stats bucket for the adopted artifact.
   std::string boundary;
   // forward: the wrapped request type (Compile or Run) and the
   // coordinator's 0-based routing attempt for this request.

@@ -104,10 +104,9 @@ bool PassManager::run_one(Pass& pass, PassState& st) {
         }
         pass.run_unit(unit, idx, unit_diags[idx]);
         if (snap && outcomes[idx] != Outcome::kNone) {
-          std::string payload = pass.snapshot_unit_artifact(unit, idx);
-          if (!payload.empty())
+          if (ArtifactPtr a = pass.snapshot_unit_artifact(unit, idx))
             opts_.artifacts->store_unit(pass.name(), prefix_fp, unit.name,
-                                        payload);
+                                        std::move(a));
         }
       };
       if (opts_.pool && opts_.pool->size() > 1 && n > 1) {

@@ -21,18 +21,18 @@
 // Artifact protocol: a PerUnit pass that overrides the snapshot hooks
 // participates in pass-boundary snapshotting. Before running a unit
 // through such a pass the manager probes the attached ArtifactStore under
-// (pass name, pass-sequence prefix fingerprint, unit name); a payload the
-// pass successfully restores skips the unit's run entirely, and a
-// recomputed unit is snapshotted back into the store. The store owns key
-// construction and tiering (memory/disk/fleet peers — src/incr
-// implements it); the manager owns the per-boundary hit/miss counters in
-// PassRecord. A restore that fails falls back to recomputing —
-// correctness never rests on the protocol.
+// (pass name, pass-sequence prefix fingerprint, unit name); an artifact
+// the pass successfully restores skips the unit's run entirely, and a
+// recomputed unit is snapshotted back into the store. Artifacts are live,
+// immutable objects shared by pointer — bytes exist only where a store
+// crosses a process edge. The store owns key construction and tiering
+// (memory/disk/fleet peers — src/incr implements it); the manager owns
+// the per-boundary hit/miss counters in PassRecord. A restore that fails
+// falls back to recomputing — correctness never rests on the protocol.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,18 +49,26 @@ enum class PassKind : uint8_t { WholeProgram, PerUnit };
 // Which artifact tier served a restored unit; None = miss.
 enum class ArtifactTier : uint8_t { None, Memory, Disk, Peer };
 
+// One unit's snapshot at a pass boundary. Immutable once stored, so one
+// object can serve every later request; its concrete type belongs to the
+// pass that made it, which restores only what it recognizes.
+struct Artifact {
+  virtual ~Artifact() = default;
+};
+using ArtifactPtr = std::shared_ptr<const Artifact>;
+
 // One artifact probe's outcome: whether this (pass, unit) is enrolled in
-// the protocol at all, the payload when one was found, the tier that
-// served it, and the miss classification (own unit unchanged, dependency
-// changed) that feeds invalidation telemetry.
+// the protocol at all, the artifact when one was found (null otherwise),
+// the tier that served it, and the miss classification (own unit
+// unchanged, dependency changed) that feeds invalidation telemetry.
 struct ArtifactProbe {
   bool participating = false;
   bool invalidated = false;
   ArtifactTier tier = ArtifactTier::None;
-  std::optional<std::string> payload;
+  ArtifactPtr payload;
 };
 
-// Pass-boundary artifact store: opaque per-unit payloads addressed by
+// Pass-boundary artifact store: per-unit artifacts addressed by
 // (pass name, pass-sequence prefix fingerprint, unit name). The store
 // decides participation (a pass can be enrolled for some runs and not
 // others), computes real cache keys (content closures, option hashes) and
@@ -73,7 +81,7 @@ class ArtifactStore {
                                   const std::string& unit_name) = 0;
   virtual void store_unit(std::string_view pass_name, uint64_t prefix_fp,
                           const std::string& unit_name,
-                          const std::string& payload) = 0;
+                          ArtifactPtr payload) = 0;
 };
 
 // One executed pass, in execution order.
@@ -135,15 +143,15 @@ class Pass {
   // opting in returns true from snapshotable(); the manager then probes
   // the attached ArtifactStore per unit before run_unit. snapshot must be
   // safe to call concurrently under the same confinement rules as
-  // run_unit; restore returns false when the payload does not apply (the
-  // unit is left untouched and recomputed).
+  // run_unit (null = nothing to store); restore returns false when the
+  // artifact does not apply (the unit is left untouched and recomputed).
   virtual bool snapshotable() const { return false; }
-  virtual std::string snapshot_unit_artifact(const fir::ProgramUnit&,
+  virtual ArtifactPtr snapshot_unit_artifact(const fir::ProgramUnit&,
                                              size_t /*unit_index*/) {
-    return {};
+    return nullptr;
   }
   virtual bool restore_unit_artifact(fir::ProgramUnit&, size_t /*unit_index*/,
-                                     const std::string& /*payload*/) {
+                                     const Artifact&) {
     return false;
   }
 

@@ -40,7 +40,11 @@ CompileResult to_compile_result(const driver::PipelineResult& r) {
   out.unit_invalidated = r.unit_invalidated;
   out.unit_disk_hits = r.unit_disk_hits;
   out.unit_peer_hits = r.unit_peer_hits;
-  if (r.program) out.program_text = fir::unparse(*r.program);
+  // collect-metrics rendered the final program already; a sequence that
+  // stop_after cut short did not reach it.
+  if (r.program)
+    out.program_text =
+        r.program_text.empty() ? fir::unparse(*r.program) : r.program_text;
   return out;
 }
 

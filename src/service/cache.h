@@ -58,8 +58,8 @@ struct CompileResult {
 
   // Unit-tier outcome of the compiling run (src/incr): per-request, like
   // cache_hit, so not serialized — a whole-request hit did no unit work
-  // and reports zeros. Reported for the deepest (parallelize) boundary;
-  // per-boundary detail is in timings.passes[*].unit_*.
+  // and reports zeros. Reported for the parallelize boundary, as in
+  // timings.passes[*].unit_*.
   size_t unit_hits = 0;
   size_t unit_misses = 0;
   size_t unit_invalidated = 0;   // misses caused by a changed dependency

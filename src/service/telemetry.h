@@ -115,8 +115,8 @@ class Telemetry {
   void record_exec(const ExecRecord& rec);
   void record_cache_stats(const CacheStats& stats);
   void record_incr_stats(const incr::IncrStats& stats);
-  // Per-boundary breakdown of the unit tier ("normalize", "parallelize"):
-  // shows WHERE in the pipeline edits resume.
+  // Per-boundary breakdown of the unit tier, by snapshotting pass
+  // ("parallelize" today).
   void record_incr_boundary_stats(
       const std::map<std::string, incr::IncrStats>& stats);
   void record_server_stats(const ServerStats& stats);

@@ -494,9 +494,9 @@ suite::BenchmarkApp three_unit_app() {
 }
 
 TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
-  // A standalone worker answers the v6 unit-artifact messages directly
-  // from its attached incr::UnitCache, byte-exactly and without ever
-  // recursing into its own peer hooks.
+  // A standalone worker answers the unit-artifact messages directly from
+  // its attached incr::UnitCache, byte-exactly and without ever recursing
+  // into its own peer hooks.
   service::ResultCache cache(64);
   incr::UnitCache units(64);
   dist::WorkerOptions wo;
@@ -508,10 +508,16 @@ TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
   std::string err;
   ASSERT_TRUE(worker.start(&err)) << err;
 
-  std::string payload = "APUNIT 2\nopaque snapshot ";
-  payload.push_back('\0');
-  payload += "bytes";
-  units.adopt("parallelize", 0xbeef, payload);
+  // Serialized snapshots: the wire carries the "APUNIT" disk bytes, and
+  // strings may hold any byte.
+  auto snapshot_bytes = [](const std::string& reason) {
+    incr::UnitSnapshot snap;
+    snap.par.loops.emplace_back();
+    snap.par.loops[0].reason = reason;
+    return incr::serialize_snapshot(snap);
+  };
+  std::string payload = snapshot_bytes(std::string("opaque \0 bytes", 15));
+  ASSERT_TRUE(units.adopt("parallelize", 0xbeef, payload));
 
   net::Client client;
   ASSERT_TRUE(client.connect(worker.port(), &err, 120'000)) << err;
@@ -538,14 +544,24 @@ TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
   net::Request fill;
   fill.type = net::RequestType::UnitFill;
   fill.key = net::format_key(0xf111);
-  fill.boundary = "normalize";
-  fill.payload = "APUSER 1 pushed";
+  fill.boundary = "parallelize";
+  fill.payload = snapshot_bytes("pushed");
   ASSERT_TRUE(client.call(std::move(fill), &resp, &err)) << err;
   ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
   auto held = units.peek(0xf111);
   ASSERT_TRUE(held.has_value());
-  EXPECT_EQ(*held, "APUSER 1 pushed");
+  EXPECT_EQ(*held, snapshot_bytes("pushed"));
   EXPECT_GE(worker.peer_stats().unit_fills_received, 1u);
+
+  // A fill whose payload is not a snapshot is refused and not held.
+  net::Request junk;
+  junk.type = net::RequestType::UnitFill;
+  junk.key = net::format_key(0xf333);
+  junk.boundary = "parallelize";
+  junk.payload = "APUSER 1 pushed";
+  ASSERT_TRUE(client.call(std::move(junk), &resp, &err)) << err;
+  EXPECT_EQ(resp.status, net::Status::Error);
+  EXPECT_FALSE(units.peek(0xf333).has_value());
 
   // A fill without its boundary label is a structured error — the
   // receiver cannot bucket the artifact. (A malformed key never reaches

@@ -1,12 +1,13 @@
 // Tests for the unit-granular incremental compilation cache (src/incr):
 // token-level unit fingerprints, the CALL/COMMON dependence graph (directed
 // summary-dependence rule and the bidirectional verification mode) and its
-// invalidation sets, content-only plan keys, snapshot (de)serialization,
-// the tiered unit-artifact cache with its peer hooks, and — the
-// load-bearing property — that incremental recompiles are bit-identical to
-// cold compiles for every suite app under every inlining configuration,
-// including under randomized single-unit edits, parallelizer option flips
-// that resume at the normalize boundary, and both dependence modes.
+// invalidation sets, content-only plan keys (the parse pass's plan equals
+// make_plan's), snapshot (de)serialization, the tiered unit-artifact cache
+// with its live memory tier and peer hooks, and — the load-bearing
+// property — that incremental recompiles are bit-identical to cold
+// compiles for every suite app under every inlining configuration,
+// including under randomized single-unit edits, hits served only by the
+// disk tier, and both dependence modes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/passes.h"
 #include "driver/pipeline.h"
 #include "fir/parser.h"
 #include "fir/unparse.h"
@@ -136,6 +138,7 @@ void expect_identical(const PipelineResult& a, const PipelineResult& b,
   ASSERT_TRUE(a.program != nullptr) << what;
   ASSERT_TRUE(b.program != nullptr) << what;
   EXPECT_EQ(fir::unparse(*a.program), fir::unparse(*b.program)) << what;
+  EXPECT_EQ(a.program_text, b.program_text) << what;
   EXPECT_EQ(a.parallel_loops, b.parallel_loops) << what;
   EXPECT_EQ(a.code_lines, b.code_lines) << what;
   EXPECT_EQ(a.par.parallelized, b.par.parallelized) << what;
@@ -480,6 +483,107 @@ TEST(Plan, EditChangesExactlyTheInvalidatedKeys) {
   }
 }
 
+// A generated program in tests/fuzz_test.cpp's style, shaped for the
+// dependence graph: 3-8 subroutines sharing three COMMON blocks under
+// random read/write patterns (block /B2/'s member order differs in some
+// sharers, which forces the layout-mismatch fallback), a random acyclic
+// call graph, and now and then a C$LIBRARY routine.
+suite::BenchmarkApp generated_app(uint32_t seed) {
+  std::mt19937 rng(seed);
+  auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+  const int subs = 3 + pick(6);
+  std::string src;
+  int label = 10;
+  for (int self = 0; self <= subs; ++self) {
+    if (self == 0) {
+      src += "      PROGRAM GMAIN\n";
+    } else {
+      if (pick(6) == 0) src += "C$LIBRARY\n";
+      src += "      SUBROUTINE GS" + std::to_string(self) + "\n";
+    }
+    std::vector<std::string> blocks;
+    for (int b = 0; b < 3; ++b) {
+      if (self > 0 && pick(2) == 0) continue;  // the main unit declares all
+      std::string n = std::to_string(b);
+      std::string x = "X" + n + "(16)", y = "Y" + n + "(16)";
+      bool swapped = b == 2 && pick(3) == 0;
+      src += "      COMMON /B" + n + "/ " + (swapped ? y + ", " + x : x + ", " + y) +
+             "\n";
+      blocks.push_back(n);
+    }
+    for (const std::string& n : blocks) {
+      std::string l = std::to_string(label++);
+      src += "      DO " + l + " I = 1, 16\n";
+      switch (pick(3)) {
+        case 0: src += "        X" + n + "(I) = Y" + n + "(I) + 1.0D0\n"; break;
+        case 1: src += "        T = T + X" + n + "(I)\n"; break;  // reads only
+        default: src += "        Y" + n + "(I) = X" + n + "(I) * 0.5D0\n";
+      }
+      src += l + "    CONTINUE\n";
+    }
+    for (int k = self + 1; k <= subs; ++k)
+      if (pick(3) == 0) src += "      CALL GS" + std::to_string(k) + "\n";
+    src += "      END\n\n";
+  }
+  suite::BenchmarkApp app;
+  app.name = "GEN" + std::to_string(seed);
+  app.source = std::move(src);
+  return app;
+}
+
+// The plan the parse pass builds from its own tokens and AST.
+incr::IncrPlan plan_from_parse_pass(const suite::BenchmarkApp& app,
+                                    incr::DepMode mode) {
+  incr::UnitCache cache(8);
+  incr::PassArtifacts artifacts(&cache, "parallelize", 0);
+  PipelineResult result;
+  driver::PipelineContext cx;
+  cx.app = &app;
+  cx.opts.bidirectional_common = mode == incr::DepMode::Bidirectional;
+  cx.artifacts = &artifacts;
+  cx.result = &result;
+  auto seq = driver::build_pass_sequence(cx);
+  DiagnosticEngine diags;
+  pm::PassState st;
+  st.diags = &diags;
+  seq.front()->run(st);
+  EXPECT_FALSE(st.failed) << app.name << ": " << st.error;
+  return artifacts.plan();
+}
+
+void expect_same_plan(const incr::IncrPlan& a, const incr::IncrPlan& b,
+                      const std::string& what) {
+  ASSERT_TRUE(a.usable) << what;
+  ASSERT_EQ(a.usable, b.usable) << what;
+  ASSERT_EQ(a.entries.size(), b.entries.size()) << what;
+  for (const auto& [name, entry] : a.entries) {
+    const incr::PlanEntry* e = b.find(name);
+    ASSERT_TRUE(e != nullptr) << what << " " << name;
+    EXPECT_EQ(entry.key, e->key) << what << " " << name;
+    EXPECT_EQ(entry.own_fp, e->own_fp) << what << " " << name;
+  }
+}
+
+// One front end per request must not change a single key: the parse
+// pass's plan (tokens lexed once, graph from the pass's own AST) equals
+// make_plan over the raw request, in both dependence modes.
+TEST(Plan, ParsePassPlanEqualsMakePlanForSuiteAndGeneratedPrograms) {
+  std::vector<suite::BenchmarkApp> apps = suite::perfect_suite();
+  ASSERT_EQ(apps.size(), 12u);
+  for (uint32_t seed = 1; seed <= 24; ++seed)
+    apps.push_back(generated_app(seed));
+  for (const auto& app : apps) {
+    for (auto mode : {incr::DepMode::Directed, incr::DepMode::Bidirectional}) {
+      std::string what = app.name + (mode == incr::DepMode::Directed
+                                          ? " directed"
+                                          : " bidirectional");
+      expect_same_plan(plan_from_parse_pass(app, mode),
+                       incr::make_plan(app.source, app.annotations, mode),
+                       what);
+    }
+  }
+}
+
 // Plan keys are content-only (the artifact layer adds option hashes per
 // boundary): the same source always produces the same keys, and the two
 // dependence modes differ exactly where their closures differ.
@@ -590,7 +694,7 @@ TEST(Snapshot, ApplyRejectsDoShapeMismatch) {
   EXPECT_FALSE(incr::apply_snapshot(*unit, snap));
 }
 
-// The normalize boundary's payload: an exact AST round trip.
+// incr/unit_serial: an exact AST round trip.
 TEST(Snapshot, UnitSerialRoundTripIsExact) {
   for (const char* name : {"DYFESM", "TRFD"}) {
     const suite::BenchmarkApp* app = suite::find_app(name);
@@ -624,20 +728,31 @@ TEST(Snapshot, UnitSerialRoundTripIsExact) {
 // Unit cache store
 // ---------------------------------------------------------------------------
 
+// A live snapshot told apart from others by its dep_tests counter.
+incr::SnapshotPtr tagged_snapshot(size_t tag) {
+  incr::UnitSnapshot snap = sample_snapshot();
+  snap.par.dep_tests = tag;
+  return std::make_shared<const incr::UnitSnapshot>(std::move(snap));
+}
+
+std::string tagged_bytes(size_t tag) {
+  return serialize_snapshot(*tagged_snapshot(tag));
+}
+
 TEST(UnitCacheStore, MemoryLruEvictsOldest) {
   incr::UnitCache cache(2);
-  cache.store("parallelize", 1, 101, "p-one");
-  cache.store("parallelize", 2, 102, "p-two");
+  cache.store("parallelize", 1, 101, tagged_snapshot(1));
+  cache.store("parallelize", 2, 102, tagged_snapshot(2));
   // 1 is now MRU.
-  EXPECT_TRUE(cache.find("parallelize", 1, 101).payload.has_value());
-  cache.store("parallelize", 3, 103, "p-three");  // evicts 2
+  EXPECT_TRUE(cache.find("parallelize", 1, 101).snapshot);
+  cache.store("parallelize", 3, 103, tagged_snapshot(3));  // evicts 2
   EXPECT_EQ(cache.memory_entries(), 2u);
   auto r1 = cache.find("parallelize", 1, 101);
-  ASSERT_TRUE(r1.payload.has_value());
-  EXPECT_EQ(*r1.payload, "p-one");
+  ASSERT_TRUE(r1.snapshot);
+  EXPECT_EQ(r1.snapshot->par.dep_tests, 1u);
   EXPECT_EQ(r1.tier, incr::UnitTier::Memory);
-  EXPECT_FALSE(cache.find("parallelize", 2, 102).payload.has_value());
-  EXPECT_TRUE(cache.find("parallelize", 3, 103).payload.has_value());
+  EXPECT_FALSE(cache.find("parallelize", 2, 102).snapshot);
+  EXPECT_TRUE(cache.find("parallelize", 3, 103).snapshot);
   incr::IncrStats s = cache.stats();
   EXPECT_EQ(s.stores, 3u);
   EXPECT_EQ(s.evictions, 1u);
@@ -645,22 +760,32 @@ TEST(UnitCacheStore, MemoryLruEvictsOldest) {
   EXPECT_EQ(s.misses, 1u);
 }
 
+// The memory tier shares the stored object itself: a hit neither parses
+// nor copies.
+TEST(UnitCacheStore, MemoryHitSharesTheStoredSnapshot) {
+  incr::UnitCache cache(8);
+  incr::SnapshotPtr snap = tagged_snapshot(5);
+  cache.store("parallelize", 1, 11, snap);
+  auto hit = cache.find("parallelize", 1, 11);
+  EXPECT_EQ(hit.snapshot.get(), snap.get());
+  // The wire edge still sees the "APUNIT" bytes.
+  ASSERT_TRUE(cache.peek(1).has_value());
+  EXPECT_EQ(*cache.peek(1), serialize_snapshot(*snap));
+}
+
 TEST(UnitCacheStore, DiskTierSurvivesRestartAndPromotes) {
   TempDir dir("disk");
   uint64_t key = 0xabcdef12345678ull;
-  std::string payload = serialize_snapshot(sample_snapshot());
   {
     incr::UnitCache cache(8, dir.path.string());
-    cache.store("parallelize", key, 7, payload);
+    cache.store("parallelize", key, 7, tagged_snapshot(17));
   }
   incr::UnitCache cache(8, dir.path.string());
   EXPECT_EQ(cache.memory_entries(), 0u);
   auto hit = cache.find("parallelize", key, 7);  // disk hit, promoted
-  ASSERT_TRUE(hit.payload.has_value());
+  ASSERT_TRUE(hit.snapshot);
   EXPECT_EQ(hit.tier, incr::UnitTier::Disk);
-  auto snap = incr::deserialize_snapshot(*hit.payload);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->par.dep_tests, 17u);
+  EXPECT_EQ(hit.snapshot->par.dep_tests, 17u);
   EXPECT_EQ(cache.memory_entries(), 1u);
   EXPECT_EQ(cache.find("parallelize", key, 7).tier, incr::UnitTier::Memory);
   incr::IncrStats s = cache.stats();
@@ -670,14 +795,14 @@ TEST(UnitCacheStore, DiskTierSurvivesRestartAndPromotes) {
 
 TEST(UnitCacheStore, MissWithKnownFingerprintCountsAsInvalidated) {
   incr::UnitCache cache(8);
-  cache.store("parallelize", /*key=*/100, /*own_fp=*/55, "payload");
+  cache.store("parallelize", /*key=*/100, /*own_fp=*/55, tagged_snapshot(1));
   // Same unit fingerprint under a new key: a dependency changed.
   auto r = cache.find("parallelize", /*key=*/200, /*own_fp=*/55);
-  EXPECT_FALSE(r.payload.has_value());
+  EXPECT_FALSE(r.snapshot);
   EXPECT_TRUE(r.invalidated);
   // Unknown fingerprint: a plain (cold or self-edit) miss.
   r = cache.find("parallelize", /*key=*/300, /*own_fp=*/66);
-  EXPECT_FALSE(r.payload.has_value());
+  EXPECT_FALSE(r.snapshot);
   EXPECT_FALSE(r.invalidated);
   incr::IncrStats s = cache.stats();
   EXPECT_EQ(s.misses, 2u);
@@ -686,15 +811,15 @@ TEST(UnitCacheStore, MissWithKnownFingerprintCountsAsInvalidated) {
 
 TEST(UnitCacheStore, StatsAreKeptPerBoundary) {
   incr::UnitCache cache(8);
-  cache.store("normalize", 1, 11, "n");
-  cache.store("parallelize", 2, 22, "p");
-  EXPECT_TRUE(cache.find("normalize", 1, 11).payload.has_value());
-  EXPECT_FALSE(cache.find("parallelize", 9, 22).payload.has_value());
+  cache.store("first", 1, 11, tagged_snapshot(1));
+  cache.store("parallelize", 2, 22, tagged_snapshot(2));
+  EXPECT_TRUE(cache.find("first", 1, 11).snapshot);
+  EXPECT_FALSE(cache.find("parallelize", 9, 22).snapshot);
   auto by = cache.boundary_stats();
-  ASSERT_TRUE(by.count("normalize"));
+  ASSERT_TRUE(by.count("first"));
   ASSERT_TRUE(by.count("parallelize"));
-  EXPECT_EQ(by["normalize"].memory_hits, 1u);
-  EXPECT_EQ(by["normalize"].misses, 0u);
+  EXPECT_EQ(by["first"].memory_hits, 1u);
+  EXPECT_EQ(by["first"].misses, 0u);
   EXPECT_EQ(by["parallelize"].memory_hits, 0u);
   EXPECT_EQ(by["parallelize"].misses, 1u);
   EXPECT_EQ(by["parallelize"].invalidated_by_dep, 1u);
@@ -709,20 +834,25 @@ TEST(UnitCacheStore, StatsAreKeptPerBoundary) {
 TEST(UnitCacheStore, PeerHookServesMissesWithoutRecursion) {
   incr::UnitCache cache(8);
   int lookups = 0, fills = 0;
+  std::string filled;
   cache.set_peer_lookup(
       [&](const std::string& boundary, uint64_t key)
           -> std::optional<std::string> {
         ++lookups;
         EXPECT_EQ(boundary, "parallelize");
-        if (key == 7) return std::string("from-peer");
+        if (key == 7) return tagged_bytes(70);
+        if (key == 8) return std::string("not a snapshot");
         return std::nullopt;
       });
   cache.set_store_hook(
-      [&](const std::string&, uint64_t, const std::string&) { ++fills; });
+      [&](const std::string&, uint64_t, const std::string& payload) {
+        ++fills;
+        filled = payload;
+      });
 
   auto r = cache.find("parallelize", 7, 1);
-  ASSERT_TRUE(r.payload.has_value());
-  EXPECT_EQ(*r.payload, "from-peer");
+  ASSERT_TRUE(r.snapshot);
+  EXPECT_EQ(r.snapshot->par.dep_tests, 70u);
   EXPECT_EQ(r.tier, incr::UnitTier::Peer);
   EXPECT_EQ(lookups, 1);
   // The adopted payload was NOT replicated back (no fill recursion).
@@ -730,24 +860,30 @@ TEST(UnitCacheStore, PeerHookServesMissesWithoutRecursion) {
   // Second find: served from memory, no second probe.
   EXPECT_EQ(cache.find("parallelize", 7, 1).tier, incr::UnitTier::Memory);
   EXPECT_EQ(lookups, 1);
-  // A genuine miss probes the peer and still misses.
-  EXPECT_FALSE(cache.find("parallelize", 8, 2).payload.has_value());
+  // A peer answer that does not decode is a miss, like no answer.
+  EXPECT_FALSE(cache.find("parallelize", 8, 2).snapshot);
   EXPECT_EQ(lookups, 2);
   incr::IncrStats s = cache.stats();
   EXPECT_EQ(s.peer_hits, 1u);
   EXPECT_EQ(s.misses, 1u);
 
-  // peek (peer-serving read) never consults the peer hook.
+  // peek (peer-serving read) never consults the peer hook, and serves
+  // the bytes the peer sent.
   EXPECT_FALSE(cache.peek(9).has_value());
   EXPECT_EQ(lookups, 2);
   ASSERT_TRUE(cache.peek(7).has_value());
-  // adopt (peer-pushed fill) never fires the store hook.
-  cache.adopt("parallelize", 10, "pushed");
+  EXPECT_EQ(*cache.peek(7), tagged_bytes(70));
+  // adopt (peer-pushed fill) never fires the store hook, and refuses
+  // bytes that do not decode.
+  EXPECT_TRUE(cache.adopt("parallelize", 10, tagged_bytes(100)));
+  EXPECT_FALSE(cache.adopt("parallelize", 12, "pushed"));
   EXPECT_EQ(fills, 0);
   EXPECT_TRUE(cache.peek(10).has_value());
-  // A local store DOES fire it (replication to peers).
-  cache.store("parallelize", 11, 3, "local");
+  EXPECT_FALSE(cache.peek(12).has_value());
+  // A local store DOES fire it (replication to peers), with the bytes.
+  cache.store("parallelize", 11, 3, tagged_snapshot(110));
   EXPECT_EQ(fills, 1);
+  EXPECT_EQ(filled, tagged_bytes(110));
 }
 
 // ---------------------------------------------------------------------------
@@ -777,11 +913,10 @@ TEST(Incremental, WarmRecompileIsBitIdenticalForAllAppsAndConfigs) {
       EXPECT_GT(fill.unit_misses, 0u) << what;
       EXPECT_GT(warm.unit_hits, 0u) << what;
       EXPECT_EQ(warm.unit_misses, 0u) << what;
-      // Both snapshotting boundaries resumed on the warm run.
+      // parallelize is the one snapshot boundary: normalize recomputes.
       const pm::PassRecord* nrec = warm.timings.find("normalize");
       ASSERT_TRUE(nrec != nullptr) << what;
-      EXPECT_GT(nrec->unit_hits, 0) << what;
-      EXPECT_EQ(nrec->unit_misses, 0) << what;
+      EXPECT_EQ(nrec->unit_hits + nrec->unit_misses, 0) << what;
     }
   }
 }
@@ -813,13 +948,6 @@ TEST(Incremental, SeededEditsExactCountersAndIdenticalRuns) {
     EXPECT_EQ(incr_r.unit_misses, c.invalidated_set) << c.unit;
     EXPECT_EQ(incr_r.unit_hits, 6u - c.invalidated_set) << c.unit;
     EXPECT_EQ(incr_r.unit_invalidated, c.invalidated_set - 1) << c.unit;
-    // The normalize boundary shares the plan, so the same units resume.
-    const pm::PassRecord* nrec = incr_r.timings.find("normalize");
-    ASSERT_TRUE(nrec != nullptr) << c.unit;
-    EXPECT_EQ(static_cast<size_t>(nrec->unit_hits), 6u - c.invalidated_set)
-        << c.unit;
-    EXPECT_EQ(static_cast<size_t>(nrec->unit_misses), c.invalidated_set)
-        << c.unit;
 
     PipelineOptions cold_opts;
     PipelineResult cold = driver::run_pipeline(edited, cold_opts);
@@ -948,63 +1076,6 @@ TEST(Incremental, RandomizedSingleUnitEditsStayBitIdentical) {
   }
 }
 
-// Flipping a dependence-test option invalidates only the parallelize
-// boundary: the pipeline resumes from the cached normalize artifacts
-// instead of recomputing the inline+normalize prefix. This is the
-// pass-sequence scoping the per-boundary option hashes buy.
-TEST(Incremental, NormalizeArtifactsSurviveParallelizerOptionChange) {
-  auto app = shaped_app();
-  incr::UnitCache cache(4096);
-  PipelineOptions opts;
-  opts.unit_cache = &cache;
-  ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
-
-  PipelineOptions flipped = opts;
-  flipped.par.use_banerjee = false;
-  PipelineResult resumed = driver::run_pipeline(app, flipped);
-  ASSERT_TRUE(resumed.ok);
-  const pm::PassRecord* nrec = resumed.timings.find("normalize");
-  ASSERT_TRUE(nrec != nullptr);
-  EXPECT_EQ(nrec->unit_hits, 6);
-  EXPECT_EQ(nrec->unit_misses, 0);
-  // The parallelize boundary saw a changed option hash: every unit is a
-  // miss classified as invalidated (its own fingerprint is unchanged).
-  EXPECT_EQ(resumed.unit_hits, 0u);
-  EXPECT_EQ(resumed.unit_misses, 6u);
-  EXPECT_EQ(resumed.unit_invalidated, 6u);
-
-  PipelineOptions cold_opts;
-  cold_opts.par.use_banerjee = false;
-  PipelineResult cold = driver::run_pipeline(app, cold_opts);
-  expect_identical(resumed, cold, "banerjee flip");
-}
-
-// --snapshot-boundaries filters participation per pass: with only
-// "normalize" enabled, the parallelize boundary runs cold with zero
-// counters while normalize still resumes.
-TEST(Incremental, SnapshotBoundariesFilterLimitsParticipation) {
-  auto app = shaped_app();
-  incr::UnitCache cache(4096);
-  PipelineOptions opts;
-  opts.unit_cache = &cache;
-  opts.snapshot_boundaries = {"normalize"};
-  ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
-  PipelineResult warm = driver::run_pipeline(app, opts);
-  ASSERT_TRUE(warm.ok);
-  const pm::PassRecord* nrec = warm.timings.find("normalize");
-  ASSERT_TRUE(nrec != nullptr);
-  EXPECT_EQ(nrec->unit_hits, 6);
-  // Result-level counters mirror the (unenrolled) parallelize boundary.
-  EXPECT_EQ(warm.unit_hits, 0u);
-  EXPECT_EQ(warm.unit_misses, 0u);
-  const pm::PassRecord* prec = warm.timings.find("parallelize");
-  ASSERT_TRUE(prec != nullptr);
-  EXPECT_EQ(prec->unit_hits + prec->unit_misses, 0);
-
-  PipelineResult cold = driver::run_pipeline(app, PipelineOptions{});
-  expect_identical(warm, cold, "normalize-only boundary");
-}
-
 TEST(Incremental, DiskTierServesAFreshProcess) {
   TempDir dir("e2e");
   auto app = shaped_app();
@@ -1017,7 +1088,7 @@ TEST(Incremental, DiskTierServesAFreshProcess) {
     ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
   }
   // A new cache over the same directory — the memory tier is empty, so
-  // every unit at both boundaries must come back from disk.
+  // every unit must come back from disk.
   incr::UnitCache cache(4096, dir.path.string());
   PipelineOptions opts;
   opts.unit_cache = &cache;
@@ -1027,9 +1098,38 @@ TEST(Incremental, DiskTierServesAFreshProcess) {
   EXPECT_EQ(warm.unit_misses, 0u);
   EXPECT_EQ(warm.unit_disk_hits, 6u);
   auto by = cache.boundary_stats();
-  EXPECT_EQ(by["normalize"].disk_hits, 6u);
   EXPECT_EQ(by["parallelize"].disk_hits, 6u);
-  EXPECT_EQ(cache.stats().disk_hits, 12u);
+  EXPECT_EQ(cache.stats().disk_hits, 6u);
+}
+
+// The memory tier holds live objects, so only the disk tier (and the
+// fleet) still decodes bytes: warm == cold for every suite app and
+// config when every hit comes from disk through a fresh cache.
+TEST(Incremental, DiskOnlyHitsAreBitIdenticalForAllAppsAndConfigs) {
+  TempDir dir("disk_only");
+  for (const auto& app : suite::perfect_suite()) {
+    for (InlineConfig cfg : {InlineConfig::None, InlineConfig::Conventional,
+                             InlineConfig::Annotation}) {
+      std::string what =
+          app.name + std::string("/") + driver::config_name(cfg);
+      PipelineOptions opts;
+      opts.config = cfg;
+      PipelineResult cold = driver::run_pipeline(app, opts);
+      ASSERT_TRUE(cold.ok) << what;
+      {
+        incr::UnitCache fill_cache(4096, dir.path.string());
+        opts.unit_cache = &fill_cache;
+        ASSERT_TRUE(driver::run_pipeline(app, opts).ok) << what;
+      }
+      incr::UnitCache cache(4096, dir.path.string());
+      opts.unit_cache = &cache;
+      PipelineResult warm = driver::run_pipeline(app, opts);
+      expect_identical(warm, cold, what + " (disk)");
+      EXPECT_GT(warm.unit_hits, 0u) << what;
+      EXPECT_EQ(warm.unit_disk_hits, warm.unit_hits) << what;
+      EXPECT_EQ(warm.unit_misses, 0u) << what;
+    }
+  }
 }
 
 // Corrupted disk payloads must never poison a compile: the pass-level
@@ -1057,7 +1157,7 @@ TEST(Incremental, CorruptDiskPayloadsFallBackToRecompute) {
   PipelineResult warm = driver::run_pipeline(app, opts);
   ASSERT_TRUE(warm.ok);
   expect_identical(warm, cold, "corrupt disk tier");
-  // Every probe found a payload, every restore rejected it.
+  // Every probe found a file, and none of them decoded.
   EXPECT_EQ(warm.unit_hits, 0u);
   EXPECT_EQ(warm.unit_misses, 6u);
 }

@@ -332,12 +332,12 @@ TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   net::Request fill;
   fill.type = net::RequestType::UnitFill;
   fill.key = net::format_key(7);
-  fill.boundary = "normalize";
-  fill.payload = "APUSER 1 opaque";
+  fill.boundary = "parallelize";
+  fill.payload = "APUNIT 2 opaque";
   fill.payload.push_back('\xfe');
   ASSERT_TRUE(round_trip(fill, &back, &err)) << err;
   EXPECT_EQ(back.type, net::RequestType::UnitFill);
-  EXPECT_EQ(back.boundary, "normalize");
+  EXPECT_EQ(back.boundary, "parallelize");
   EXPECT_EQ(back.payload, fill.payload);
 
   // A probe hit response is the same found/payload shape the result tier

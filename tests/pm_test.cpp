@@ -323,6 +323,21 @@ TEST(PassManager, PerUnitDiagnosticsMergeInUnitOrder) {
 
 // --- Artifact protocol ------------------------------------------------------
 
+// The test pass's artifact: a tagged string, shared by pointer.
+struct TextArtifact : pm::Artifact {
+  explicit TextArtifact(std::string t) : text(std::move(t)) {}
+  std::string text;
+};
+
+pm::ArtifactPtr text_artifact(std::string text) {
+  return std::make_shared<const TextArtifact>(std::move(text));
+}
+
+std::string text_of(const pm::ArtifactPtr& a) {
+  auto* t = dynamic_cast<const TextArtifact*>(a.get());
+  return t ? t->text : "";
+}
+
 // In-memory ArtifactStore that records every probe and store, with
 // per-unit knobs for participation, served tier, and the invalidated
 // miss classification — everything the manager's counters must reflect.
@@ -353,13 +368,13 @@ class FakeArtifactStore : public pm::ArtifactStore {
 
   void store_unit(std::string_view pass_name, uint64_t prefix_fp,
                   const std::string& unit_name,
-                  const std::string& payload) override {
+                  pm::ArtifactPtr payload) override {
     stores.push_back({std::string(pass_name), prefix_fp, unit_name});
-    payloads[unit_name] = payload;
+    payloads[unit_name] = std::move(payload);
   }
 
   bool participating = true;
-  std::map<std::string, std::string> payloads;
+  std::map<std::string, pm::ArtifactPtr> payloads;
   std::map<std::string, pm::ArtifactTier> tiers;
   std::set<std::string> invalidated_units;
   std::vector<Call> probes;
@@ -377,13 +392,14 @@ class SnapshotPass : public pm::Pass {
   void run_unit(fir::ProgramUnit& unit, size_t, DiagnosticEngine&) override {
     computed.push_back(unit.name);
   }
-  std::string snapshot_unit_artifact(const fir::ProgramUnit& unit,
-                                     size_t) override {
-    return "snap:" + unit.name;
+  pm::ArtifactPtr snapshot_unit_artifact(const fir::ProgramUnit& unit,
+                                         size_t) override {
+    return text_artifact("snap:" + unit.name);
   }
   bool restore_unit_artifact(fir::ProgramUnit& unit, size_t,
-                             const std::string& payload) override {
-    if (payload != "snap:" + unit.name) return false;
+                             const pm::Artifact& payload) override {
+    auto* t = dynamic_cast<const TextArtifact*>(&payload);
+    if (!t || t->text != "snap:" + unit.name) return false;
     restored.push_back(unit.name);
     return true;
   }
@@ -418,7 +434,7 @@ TEST(PassManager, ArtifactProtocolProbesRestoresAndStores) {
     // The probe and the store of one run see the SAME prefix: the pass's
     // own name is folded into the sequence fingerprint only after it ran.
     EXPECT_EQ(store.probes[0].prefix_fp, store.stores[0].prefix_fp);
-    EXPECT_EQ(store.payloads["S1"], "snap:S1");
+    EXPECT_EQ(text_of(store.payloads["S1"]), "snap:S1");
   }
 
   // Warm run with tier labels: every unit restores, nothing recomputes,
@@ -451,7 +467,7 @@ TEST(PassManager, ArtifactProtocolProbesRestoresAndStores) {
   // recompute re-stores a good payload); the invalidated miss is counted
   // separately so telemetry can tell "my edit" from "a dependency's".
   store.stores.clear();
-  store.payloads["T"] = "garbage payload";
+  store.payloads["T"] = text_artifact("garbage payload");
   store.payloads.erase("S3");
   store.invalidated_units.insert("S3");
   {
@@ -471,7 +487,7 @@ TEST(PassManager, ArtifactProtocolProbesRestoresAndStores) {
     EXPECT_EQ(rec.unit_misses, 2);
     EXPECT_EQ(rec.unit_invalidated, 1);
     ASSERT_EQ(store.stores.size(), 2u);  // both recomputes snapshotted back
-    EXPECT_EQ(store.payloads["T"], "snap:T");
+    EXPECT_EQ(text_of(store.payloads["T"]), "snap:T");
   }
 }
 

@@ -598,8 +598,12 @@ TEST(ResultCache, SharedBudgetSpansResultAndUnitTiers) {
     ASSERT_TRUE(payload.ok);
   }
   const size_t entry_bytes = service::serialize_result(payload).size();
-  std::string unit_payload = "APUNIT 2\n";
-  unit_payload.append(entry_bytes, 'u');
+  // A unit snapshot whose disk bytes are about one result entry's size.
+  incr::UnitSnapshot snap;
+  snap.par.loops.emplace_back();
+  snap.par.loops[0].reason.assign(entry_bytes, 'u');
+  auto unit_snap = std::make_shared<const incr::UnitSnapshot>(snap);
+  const std::string unit_payload = incr::serialize_snapshot(snap);
   const size_t cap = entry_bytes * 6;
 
   support::DiskBudget budget(cap);
@@ -622,11 +626,11 @@ TEST(ResultCache, SharedBudgetSpansResultAndUnitTiers) {
     std::mt19937_64 rng(seed);
     for (int i = 0; i < 150; ++i) {
       uint64_t key = 1000 + rng() % 32;
-      units.store("parallelize", key, key, unit_payload);
+      units.store("parallelize", key, key, unit_snap);
       auto r = units.find("parallelize", 1000 + rng() % 32, 0);
-      if (r.payload.has_value()) {
+      if (r.snapshot) {
         ++found;
-        if (*r.payload != unit_payload) ++torn;
+        if (incr::serialize_snapshot(*r.snapshot) != unit_payload) ++torn;
       }
     }
   };
