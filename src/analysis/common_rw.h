@@ -42,6 +42,8 @@ struct CommonRW {
     auto it = writes.find(block);
     return it != writes.end() && it->second.count(name) > 0;
   }
+
+  bool operator==(const CommonRW&) const = default;
 };
 
 CommonRW common_rw_summary(const fir::ProgramUnit& unit);

@@ -153,14 +153,13 @@ LoopRefs collect_loop_refs(const fir::Stmt& loop, const sema::UnitInfo& unit) {
   return out;
 }
 
-LoopBounds fold_bounds(const fir::Stmt& do_stmt, const sema::SemaContext& sema,
-                       const std::string& unit_name) {
+LoopBounds fold_bounds(const fir::Stmt& do_stmt, const sema::UnitInfo& unit) {
   LoopBounds b;
-  if (do_stmt.do_lo) b.lo = sema.fold_int(unit_name, *do_stmt.do_lo);
-  if (do_stmt.do_hi) b.hi = sema.fold_int(unit_name, *do_stmt.do_hi);
+  if (do_stmt.do_lo) b.lo = unit.fold_int(*do_stmt.do_lo);
+  if (do_stmt.do_hi) b.hi = unit.fold_int(*do_stmt.do_hi);
   // Non-unit steps keep bounds but the tester treats trip conservatively.
   if (do_stmt.do_step) {
-    auto st = sema.fold_int(unit_name, *do_stmt.do_step);
+    auto st = unit.fold_int(*do_stmt.do_step);
     if (!st || *st != 1) return LoopBounds{};
   }
   return b;

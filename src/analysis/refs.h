@@ -64,7 +64,6 @@ struct LoopBounds {
   }
 };
 
-LoopBounds fold_bounds(const fir::Stmt& do_stmt, const sema::SemaContext& sema,
-                       const std::string& unit_name);
+LoopBounds fold_bounds(const fir::Stmt& do_stmt, const sema::UnitInfo& unit);
 
 }  // namespace ap::analysis

@@ -61,7 +61,8 @@ class ParsePass : public pm::Pass {
       cx_.artifacts->set_plan(incr::make_plan(
           fps, *st.program,
           cx_.opts.bidirectional_common ? incr::DepMode::Bidirectional
-                                        : incr::DepMode::Directed));
+                                        : incr::DepMode::Directed,
+          cx_.artifacts->summaries()));
     if (!cx_.app->annotations.empty()) {
       DiagnosticEngine adiags;
       adiags.set_stream(cx_.app->name + ":annotations");
@@ -153,17 +154,15 @@ class ParallelizePass : public pm::Pass {
   pm::PassKind kind() const override { return pm::PassKind::PerUnit; }
 
   void begin(pm::PassState& st) override {
-    // One immutable program-wide context shared by every lane. Sema
-    // diagnostics go to scratch: the parallelizer's contract is to analyze
-    // best-effort, not to re-report frontend problems.
-    DiagnosticEngine scratch;
-    sema_ = std::make_unique<sema::SemaContext>(*st.program, scratch);
     slots_.assign(st.program->units.size(), par::ParallelizeResult{});
   }
 
+  // The parallelizer reads sema for its own unit only, so each lane
+  // analyzes just the unit it runs; a unit the tier restores builds none.
   void run_unit(fir::ProgramUnit& unit, size_t unit_index,
                 DiagnosticEngine&) override {
-    slots_[unit_index] = par::parallelize_unit(unit, *sema_, cx_.opts.par);
+    slots_[unit_index] = par::parallelize_unit(unit, sema::analyze_unit(unit),
+                                               cx_.opts.par);
   }
 
   // Artifact hooks: the artifact is the unit's OMP marks plus its
@@ -196,12 +195,10 @@ class ParallelizePass : public pm::Pass {
     for (auto& slot : slots_)
       par::merge_results(cx_.result->par, std::move(slot));
     slots_.clear();
-    sema_.reset();
   }
 
  private:
   PipelineContext& cx_;
-  std::unique_ptr<sema::SemaContext> sema_;
   std::vector<par::ParallelizeResult> slots_;  // lanes write disjoint slots
 };
 

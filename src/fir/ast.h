@@ -236,6 +236,8 @@ struct VarDecl {
 struct CommonBlock {
   std::string name;                 // upper-cased; "" for blank common
   std::vector<std::string> vars;    // member names in declaration order
+
+  bool operator==(const CommonBlock&) const = default;
 };
 
 enum class UnitKind : uint8_t { Program, Subroutine };

@@ -1,6 +1,5 @@
 #include "fir/lexer.h"
 
-#include <cctype>
 #include <cstdlib>
 
 #include "support/text.h"
@@ -47,6 +46,20 @@ const char* tok_name(Tok t) {
 
 namespace {
 
+// ASCII classes (the C locale's isalpha/isdigit/isalnum/isspace), inline:
+// the lexer asks once per character.
+inline bool is_alpha(char c) {
+  return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z');
+}
+inline bool is_digit(char c) { return c >= '0' && c <= '9'; }
+inline bool is_ident_char(char c) {
+  return is_alpha(c) || is_digit(c) || c == '_' || c == '$';
+}
+inline bool is_blank(char c) {  // whitespace other than '\n'
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+inline char upper(char c) { return c >= 'a' && c <= 'z' ? c - 'a' + 'A' : c; }
+
 struct Lexer {
   std::string_view in;
   DiagnosticEngine& diags;
@@ -70,6 +83,34 @@ struct Lexer {
     ++pos;
   }
 
+  // Advances over `n` characters known to hold no newline.
+  void skip(size_t n) {
+    pos += n;
+    col += static_cast<uint32_t>(n);
+  }
+
+  // Length of the run of characters from `pos` that satisfy `pred`.
+  template <typename Pred>
+  size_t span(Pred pred) const {
+    size_t e = pos;
+    while (e < in.size() && pred(in[e])) ++e;
+    return e - pos;
+  }
+
+  // The rest of the current line, up to (not including) its newline or a
+  // NUL byte.
+  void skip_to_eol() {
+    skip(span([](char ch) { return ch != '\n' && ch != '\0'; }));
+  }
+
+  // The span starting at `pos` of length `n`, upper-cased, consumed.
+  std::string take_upper(size_t n) {
+    std::string word(in.substr(pos, n));
+    for (char& c : word) c = upper(c);
+    skip(n);
+    return word;
+  }
+
   SourceLoc here() const { return SourceLoc{line, col}; }
 
   void push(Tok k, SourceLoc loc, std::string text = {}) {
@@ -87,13 +128,10 @@ struct Lexer {
     size_t save = pos;
     SourceLoc loc = here();
     bump();  // '.'
-    std::string word;
-    while (std::isalpha(static_cast<unsigned char>(cur()))) {
-      word.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(cur()))));
-      bump();
-    }
+    std::string word = take_upper(span(is_alpha));
     if (cur() != '.' || word.empty()) {
       pos = save;
+      col = loc.column;
       return false;
     }
     bump();  // trailing '.'
@@ -119,20 +157,18 @@ struct Lexer {
 
   void lex_number() {
     SourceLoc loc = here();
-    std::string digits;
+    size_t n = span(is_digit);
+    std::string digits(in.substr(pos, n));
+    skip(n);
     bool is_real = false;
-    while (std::isdigit(static_cast<unsigned char>(cur()))) {
-      digits.push_back(cur());
-      bump();
-    }
     // Fractional part. Careful: "1.EQ." must lex as 1 .EQ., so a '.' is part
     // of the number only when NOT followed by a letter-then-dot pattern.
     if (cur() == '.') {
       bool dot_op = false;
-      if (std::isalpha(static_cast<unsigned char>(ahead()))) {
+      if (is_alpha(ahead())) {
         // Peek for a dot-operator: .<letters>.
         size_t p = pos + 1;
-        while (p < in.size() && std::isalpha(static_cast<unsigned char>(in[p]))) ++p;
+        while (p < in.size() && is_alpha(in[p])) ++p;
         if (p < in.size() && in[p] == '.') {
           // Exponent letters D/E immediately followed by digits are NOT
           // dot-ops (e.g. "2.D0"): the scan above would have consumed D0... —
@@ -143,31 +179,26 @@ struct Lexer {
       if (!dot_op) {
         is_real = true;
         digits.push_back('.');
-        bump();
-        while (std::isdigit(static_cast<unsigned char>(cur()))) {
-          digits.push_back(cur());
-          bump();
-        }
+        skip(1);
+        n = span(is_digit);
+        digits.append(in.substr(pos, n));
+        skip(n);
       }
     }
     // Exponent: E/D with optional sign.
-    char c = static_cast<char>(std::toupper(static_cast<unsigned char>(cur())));
+    char c = upper(cur());
     if (c == 'E' || c == 'D') {
       size_t p = pos + 1;
       size_t q = p;
       if (q < in.size() && (in[q] == '+' || in[q] == '-')) ++q;
-      if (q < in.size() && std::isdigit(static_cast<unsigned char>(in[q]))) {
+      if (q < in.size() && is_digit(in[q])) {
         is_real = true;
         digits.push_back('E');
-        bump();  // E/D
-        if (cur() == '+' || cur() == '-') {
-          digits.push_back(cur());
-          bump();
-        }
-        while (std::isdigit(static_cast<unsigned char>(cur()))) {
-          digits.push_back(cur());
-          bump();
-        }
+        skip(q - pos);  // E/D and the sign
+        if (q == p + 1) digits.push_back(in[p]);
+        n = span(is_digit);
+        digits.append(in.substr(pos, n));
+        skip(n);
       }
     }
     Token t;
@@ -185,6 +216,8 @@ struct Lexer {
   }
 
   void run() {
+    // About one token per five source bytes in fixed-form F77.
+    out.reserve(in.size() / 5 + 16);
     while (pos < in.size()) {
       char c = cur();
       // Column-1 comment lines.
@@ -192,26 +225,23 @@ struct Lexer {
         // "C$WORD" directives survive as tokens; plain comments are skipped.
         if ((c == 'C' || c == 'c') && ahead() == '$') {
           SourceLoc loc = here();
-          bump();
-          bump();  // C$
-          std::string word;
-          while (std::isalnum(static_cast<unsigned char>(cur())) || cur() == '_') {
-            word.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(cur()))));
-            bump();
-          }
+          skip(2);  // C$
+          std::string word = take_upper(span([](char ch) {
+            return is_alpha(ch) || is_digit(ch) || ch == '_';
+          }));
           push(Tok::Ident, loc, "$" + word);
           // Rest of the directive line is ignored.
-          while (cur() != '\n' && cur() != '\0') bump();
+          skip_to_eol();
           continue;
         }
         // But a lone 'C'/'c' might start an identifier in free-ish form only
         // if followed by something identifier-like AND the line is code. We
         // adopt the F77 rule: column-1 C/c/* always comments the line.
-        while (cur() != '\n' && cur() != '\0') bump();
+        skip_to_eol();
         continue;
       }
       if (c == '!') {
-        while (cur() != '\n' && cur() != '\0') bump();
+        skip_to_eol();
         continue;
       }
       if (c == '\n') {
@@ -220,16 +250,16 @@ struct Lexer {
         bump();
         continue;
       }
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        bump();
+      if (is_blank(c)) {
+        skip(span(is_blank));
         continue;
       }
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (is_digit(c)) {
         lex_number();
         continue;
       }
       if (c == '.') {
-        if (std::isdigit(static_cast<unsigned char>(ahead()))) {
+        if (is_digit(ahead())) {
           lex_number();
           continue;
         }
@@ -238,15 +268,9 @@ struct Lexer {
         bump();
         continue;
       }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
+      if (is_alpha(c) || c == '_' || c == '$') {
         SourceLoc loc = here();
-        std::string word;
-        while (std::isalnum(static_cast<unsigned char>(cur())) || cur() == '_' ||
-               cur() == '$') {
-          word.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(cur()))));
-          bump();
-        }
-        push(Tok::Ident, loc, std::move(word));
+        push(Tok::Ident, loc, take_upper(span(is_ident_char)));
         continue;
       }
       if (c == '\'') {

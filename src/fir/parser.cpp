@@ -120,6 +120,14 @@ class Parser {
 
   // ---- declarations -------------------------------------------------------
 
+  // ProgramUnit::find_decl with exact matching: lexed identifiers are
+  // upper-cased on both sides, so `==` is its case-insensitive match.
+  VarDecl* find_decl(const std::string& name) {
+    for (auto& d : unit_->decls)
+      if (d.name == name) return &d;
+    return nullptr;
+  }
+
   // Returns true if the upcoming line is a declaration it consumed.
   bool try_parse_declaration() {
     if (cur_.at_ident("INTEGER")) return parse_type_decl(Type::Integer);
@@ -175,7 +183,7 @@ class Parser {
           return true;
         }
       }
-      VarDecl* existing = unit_->find_decl(name);
+      VarDecl* existing = find_decl(name);
       if (existing) {
         // DIMENSION after a type statement (or vice versa) merges.
         if (t != Type::Unknown) existing->type = t;
@@ -244,7 +252,9 @@ class Parser {
         }
       }
       blk.vars.push_back(name);
-      if (!unit_->find_decl(name)) {
+      if (VarDecl* existing = find_decl(name)) {
+        if (!dims.empty()) existing->dims = std::move(dims);
+      } else {
         VarDecl d;
         d.name = name;
         d.type = (!name.empty() && name[0] >= 'I' && name[0] <= 'N')
@@ -253,8 +263,6 @@ class Parser {
         d.dims = std::move(dims);
         d.loc = loc;
         unit_->decls.push_back(std::move(d));
-      } else if (!dims.empty()) {
-        unit_->find_decl(name)->dims = std::move(dims);
       }
     } while (cur_.accept(Tok::Comma));
     unit_->commons.push_back(std::move(blk));
@@ -280,7 +288,7 @@ class Parser {
         return true;
       }
       ExprPtr value = parse_expr();
-      VarDecl* existing = unit_->find_decl(name);
+      VarDecl* existing = find_decl(name);
       if (existing) {
         existing->is_param_const = true;
         existing->param_value = std::move(value);
@@ -421,6 +429,10 @@ class Parser {
 
     std::vector<StmtPtr> body;
     if (label >= 0) {
+      // Forget the previous terminator: labels are per unit, and a stale
+      // match (an earlier unit's "10 CONTINUE") would close this loop
+      // before its first statement.
+      just_closed_label_ = -1;
       body = parse_stmt_list(label, /*top_level=*/false);
     } else {
       body = parse_stmt_list(-1, /*top_level=*/false);

@@ -5,6 +5,8 @@
 
 namespace ap::incr {
 
+SummaryMemo* PassArtifacts::summaries() const { return &cache_->summaries(); }
+
 uint64_t PassArtifacts::full_key(uint64_t prefix_fp,
                                  const PlanEntry& entry) const {
   uint64_t h = entry.key;

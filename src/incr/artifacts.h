@@ -15,9 +15,10 @@
 // UnitSnapshot objects; nothing here serializes.
 //
 // The plan arrives from the parse pass (set_plan), which builds it from
-// the tokens and the AST it has just produced. While the plan is unset or
-// unusable (defensive token-split mismatch), or a unit is unknown to it,
-// the probe still reports participating=true with no payload: every unit
+// the tokens and the AST it has just produced, with the cache's summary
+// memo (summaries()). While the plan is unset or unusable (defensive
+// token-split mismatch), or a unit is unknown to it, the probe still
+// reports participating=true with no payload: every unit
 // counts as a miss, preserving the historical "plan unusable → all
 // misses" accounting, and nothing is stored.
 #pragma once
@@ -41,6 +42,8 @@ class PassArtifacts : public pm::ArtifactStore {
       : cache_(cache), boundary_(std::move(boundary)), opts_hash_(opts_hash) {}
 
   void set_plan(IncrPlan plan) { plan_ = std::move(plan); }
+  // The cache's dependence-summary memo, for building the plan.
+  SummaryMemo* summaries() const;
   const IncrPlan& plan() const { return plan_; }
 
   pm::ArtifactProbe find_unit(std::string_view pass_name, uint64_t prefix_fp,

@@ -1,62 +1,107 @@
 #include "incr/depgraph.h"
 
 #include <algorithm>
-
-#include "analysis/common_rw.h"
+#include <iterator>
+#include <string_view>
 
 namespace ap::incr {
 
+namespace {
+
+void sort_unique(std::vector<size_t>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+}  // namespace
+
+UnitDepSummary summarize_unit(const fir::ProgramUnit& unit) {
+  UnitDepSummary s;
+  fir::walk_stmts(unit.body, [&](const fir::Stmt& st) {
+    if (st.kind == fir::StmtKind::Call) s.calls.push_back(st.name);
+    return true;
+  });
+  std::sort(s.calls.begin(), s.calls.end());
+  s.calls.erase(std::unique(s.calls.begin(), s.calls.end()), s.calls.end());
+  s.commons = unit.commons;
+  s.rw = analysis::common_rw_summary(unit);
+  return s;
+}
+
 UnitDepGraph build_dep_graph(const fir::Program& prog, DepMode mode) {
-  UnitDepGraph g;
+  std::vector<std::string> names;
+  std::vector<UnitDepSummary> summaries;
+  names.reserve(prog.units.size());
+  summaries.reserve(prog.units.size());
   for (const auto& u : prog.units) {
-    g.index.emplace(u->name, g.names.size());
-    g.names.push_back(u->name);
+    names.push_back(u->name);
+    summaries.push_back(summarize_unit(*u));
   }
-  const size_t n = g.names.size();
-  g.deps.assign(n, {});
+  std::vector<const UnitDepSummary*> ptrs;
+  ptrs.reserve(summaries.size());
+  for (const auto& s : summaries) ptrs.push_back(&s);
+  return build_dep_graph(names, ptrs, mode);
+}
+
+UnitDepGraph build_dep_graph(const std::vector<std::string>& names,
+                             const std::vector<const UnitDepSummary*>& sums,
+                             DepMode mode) {
+  UnitDepGraph g;
+  g.names = names;
+  const size_t n = names.size();
+  g.index.reserve(n);
+  for (size_t i = 0; i < n; ++i) g.index.emplace(names[i], i);
 
   // CALL edges: caller depends on callee. Kept separate from COMMON edges
   // because the two close differently in directed mode (see below).
-  std::vector<std::set<size_t>> call_edges(n);
-  std::vector<std::set<size_t>> common_edges(n);
+  std::vector<std::vector<size_t>> call_edges(n), common_edges(n);
   for (size_t i = 0; i < n; ++i) {
-    fir::walk_stmts(prog.units[i]->body, [&](const fir::Stmt& s) {
-      if (s.kind == fir::StmtKind::Call) {
-        auto it = g.index.find(s.name);
-        if (it != g.index.end() && it->second != i)
-          call_edges[i].insert(it->second);
-      }
-      return true;
-    });
+    for (const auto& target : sums[i]->calls) {
+      auto it = g.index.find(target);
+      if (it != g.index.end() && it->second != i)
+        call_edges[i].push_back(it->second);
+    }
+    sort_unique(call_edges[i]);
   }
 
-  // COMMON edges. Collect sharers per block first; both modes need them.
-  std::map<std::string, std::vector<size_t>> sharers;
-  for (size_t i = 0; i < n; ++i)
-    for (const auto& cb : prog.units[i]->commons)
-      sharers[cb.name].push_back(i);
+  // COMMON edges. Collect sharers per block first (one entry per
+  // declaration, in unit order); both modes need them.
+  std::unordered_map<std::string_view, size_t> block_slot;
+  std::vector<const std::string*> blocks;
+  std::vector<std::vector<size_t>> sharers;
+  for (size_t i = 0; i < n; ++i) {
+    for (const auto& cb : sums[i]->commons) {
+      auto [it, fresh] = block_slot.emplace(cb.name, blocks.size());
+      if (fresh) {
+        blocks.push_back(&cb.name);
+        sharers.emplace_back();
+      }
+      sharers[it->second].push_back(i);
+    }
+  }
+
+  auto symmetric = [&](const std::vector<size_t>& members) {
+    for (size_t a : members)
+      for (size_t b : members)
+        if (a != b) common_edges[a].push_back(b);
+  };
 
   if (mode == DepMode::Bidirectional) {
-    for (const auto& [block, members] : sharers)
-      for (size_t a : members)
-        for (size_t b : members)
-          if (a != b) common_edges[a].insert(b);
+    for (const auto& members : sharers) symmetric(members);
   } else {
     // Directed: reader depends on writer, per member name. Falls back to
     // symmetric edges for a block whose sharers disagree on the member
     // list (positional layout coupling; name matching is meaningless).
-    std::vector<analysis::CommonRW> rw(n);
-    for (size_t i = 0; i < n; ++i)
-      rw[i] = analysis::common_rw_summary(*prog.units[i]);
-
     auto block_members = [&](size_t unit, const std::string& block)
         -> const std::vector<std::string>* {
-      for (const auto& cb : prog.units[unit]->commons)
+      for (const auto& cb : sums[unit]->commons)
         if (cb.name == block) return &cb.vars;
       return nullptr;
     };
 
-    for (const auto& [block, members] : sharers) {
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const std::string& block = *blocks[b];
+      const std::vector<size_t>& members = sharers[b];
       bool layout_consistent = true;
       const std::vector<std::string>* first = block_members(members[0], block);
       for (size_t k = 1; k < members.size() && layout_consistent; ++k) {
@@ -64,34 +109,36 @@ UnitDepGraph build_dep_graph(const fir::Program& prog, DepMode mode) {
         if (!first || !other || *first != *other) layout_consistent = false;
       }
       if (!layout_consistent) {
-        for (size_t a : members)
-          for (size_t b : members)
-            if (a != b) common_edges[a].insert(b);
+        symmetric(members);
         continue;
       }
       for (size_t reader : members) {
-        auto rit = rw[reader].reads.find(block);
-        if (rit == rw[reader].reads.end()) continue;
+        const auto& reads = sums[reader]->rw.reads;
+        auto rit = reads.find(block);
+        if (rit == reads.end()) continue;
         for (size_t writer : members) {
-          if (writer == reader || common_edges[reader].count(writer)) continue;
-          auto wit = rw[writer].writes.find(block);
-          if (wit == rw[writer].writes.end()) continue;
-          bool influences = false;
+          if (writer == reader) continue;
+          const auto& writes = sums[writer]->rw.writes;
+          auto wit = writes.find(block);
+          if (wit == writes.end()) continue;
           for (const auto& name : rit->second) {
             if (wit->second.count(name)) {
-              influences = true;
+              common_edges[reader].push_back(writer);
               break;
             }
           }
-          if (influences) common_edges[reader].insert(writer);
         }
       }
     }
   }
 
+  g.deps.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    g.deps[i] = call_edges[i];
-    g.deps[i].insert(common_edges[i].begin(), common_edges[i].end());
+    sort_unique(common_edges[i]);
+    g.deps[i].reserve(call_edges[i].size() + common_edges[i].size());
+    std::set_union(call_edges[i].begin(), call_edges[i].end(),
+                   common_edges[i].begin(), common_edges[i].end(),
+                   std::back_inserter(g.deps[i]));
   }
 
   // Closure. The two edge kinds carry different *depths* of influence:
@@ -110,15 +157,14 @@ UnitDepGraph build_dep_graph(const fir::Program& prog, DepMode mode) {
   //   collapsing directed mode back to the 1/|app| reuse ceiling the
   //   symmetric rule has. Bidirectional mode keeps the historical uniform
   //   transitive closure as the conservative verification baseline.
-  // Per unit: a DFS with a visited bitmap, then one sorted bulk insert —
-  // cheaper than growing a set node by node.
-  g.closure.assign(n, {});
+  // Per unit: a DFS with a visited bitmap, then one sort.
+  g.closure.resize(n);
   std::vector<char> seen(n);
-  std::vector<size_t> members, stack;
+  std::vector<size_t> stack;
   const bool directed = mode == DepMode::Directed;
   for (size_t i = 0; i < n; ++i) {
     std::fill(seen.begin(), seen.end(), 0);
-    members.clear();
+    std::vector<size_t>& members = g.closure[i];
     stack.assign(1, i);
     // Transitive over CALL edges (directed) or over every edge.
     while (!stack.empty()) {
@@ -139,7 +185,6 @@ UnitDepGraph build_dep_graph(const fir::Program& prog, DepMode mode) {
           }
     }
     std::sort(members.begin(), members.end());
-    g.closure[i].insert(members.begin(), members.end());
   }
   return g;
 }
@@ -150,7 +195,9 @@ std::set<std::string> invalidated_by_edit(const UnitDepGraph& g,
   auto it = g.index.find(edited);
   if (it == g.index.end()) return out;
   for (size_t i = 0; i < g.names.size(); ++i)
-    if (g.closure[i].count(it->second)) out.insert(g.names[i]);
+    if (std::binary_search(g.closure[i].begin(), g.closure[i].end(),
+                           it->second))
+      out.insert(g.names[i]);
   return out;
 }
 

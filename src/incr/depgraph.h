@@ -35,28 +35,56 @@
 // dependence closure (incr/plan.h), so editing V changes the keys of
 // exactly {U : V ∈ closure(U)} — V itself plus its transitive dependents —
 // and nothing else.
+//
+// Everything the graph reads of a unit is its UnitDepSummary: its CALL
+// targets, its COMMON declarations and its COMMON read/write sets. A
+// summary is a function of the unit's own text, so the incremental plan
+// memoizes it by the unit's fingerprint (incr/plan.h, SummaryMemo) and
+// assembles the graph from summaries; build_dep_graph(prog) summarizes
+// every unit afresh. Edge and closure lists are sorted index vectors.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "analysis/common_rw.h"
 #include "fir/ast.h"
 
 namespace ap::incr {
 
 enum class DepMode : uint8_t { Directed, Bidirectional };
 
+// One unit's contribution to the graph. Mode-independent: directed mode
+// reads `rw`, bidirectional mode ignores it.
+struct UnitDepSummary {
+  std::vector<std::string> calls;          // distinct CALL targets, sorted
+  std::vector<fir::CommonBlock> commons;   // COMMON declarations, in order
+  analysis::CommonRW rw;                   // member reads/writes per block
+
+  bool operator==(const UnitDepSummary&) const = default;
+};
+
+UnitDepSummary summarize_unit(const fir::ProgramUnit& unit);
+
 struct UnitDepGraph {
-  std::vector<std::string> names;         // unit-index order of the parse
-  std::map<std::string, size_t> index;    // name -> position in `names`
-  std::vector<std::set<size_t>> deps;     // direct CALL + COMMON edges
-  std::vector<std::set<size_t>> closure;  // transitive deps, including self
+  std::vector<std::string> names;  // unit-index order of the parse
+  std::unordered_map<std::string, size_t> index;  // name -> first position
+  std::vector<std::vector<size_t>> deps;     // direct CALL + COMMON edges
+  std::vector<std::vector<size_t>> closure;  // transitive deps, incl. self
 
   bool contains(const std::string& name) const { return index.count(name); }
 };
 
+// The graph over units `names` (parse order) whose summaries are
+// `summaries` (same order, non-null).
+UnitDepGraph build_dep_graph(const std::vector<std::string>& names,
+                             const std::vector<const UnitDepSummary*>& summaries,
+                             DepMode mode = DepMode::Directed);
+
+// The same, summarizing every unit of `prog`.
 UnitDepGraph build_dep_graph(const fir::Program& prog,
                              DepMode mode = DepMode::Directed);
 

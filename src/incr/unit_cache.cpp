@@ -210,7 +210,8 @@ UnitCache::UnitCache(size_t capacity, std::string disk_dir,
                      support::DiskBudget* budget)
     : capacity_(capacity < 1 ? 1 : capacity),
       disk_dir_(std::move(disk_dir)),
-      budget_(budget) {
+      budget_(budget),
+      summaries_(capacity_) {
   if (!disk_dir_.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(disk_dir_, ec);

@@ -34,6 +34,11 @@
 // dependency changed — counted as invalidated_by_dep (the telemetry that
 // proves the invalidation rule touches only the dependence closure).
 // Stats are kept per boundary name (the snapshotting pass).
+//
+// The cache also owns the plan's SummaryMemo (incr/plan.h): one dependence
+// summary per unit name, and the last dependence graph, so a request that
+// edits one unit summarizes one unit and reuses the graph when the edit
+// left every summary alone. It shares the memory tier's entry bound.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +53,7 @@
 #include <vector>
 
 #include "fir/ast.h"
+#include "incr/plan.h"
 #include "par/parallelizer.h"
 #include "pm/pass.h"
 
@@ -170,6 +176,9 @@ class UnitCache {
   bool adopt(const std::string& boundary, uint64_t key,
              const std::string& payload);
 
+  // The plan's dependence-summary memo (see the header comment).
+  SummaryMemo& summaries() { return summaries_; }
+
   IncrStats stats() const;  // aggregate over boundaries
   std::map<std::string, IncrStats> boundary_stats() const;
   size_t memory_entries() const;
@@ -199,6 +208,7 @@ class UnitCache {
   std::map<std::string, IncrStats> stats_;  // by boundary
   PeerLookup peer_lookup_;
   StoreHook store_hook_;
+  SummaryMemo summaries_;
 };
 
 }  // namespace ap::incr

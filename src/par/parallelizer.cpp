@@ -39,14 +39,14 @@ bool ParallelizeResult::is_parallel(int64_t origin_id) const {
 namespace {
 
 // Per-unit worker: analyzes and marks the loops of exactly one unit against
-// an immutable program-wide SemaContext. The pass manager runs one instance
-// per unit, possibly concurrently; nothing here touches state outside the
-// unit and the result it owns.
+// that unit's semantic facts. The pass manager runs one instance per unit,
+// possibly concurrently; nothing here touches state outside the unit, its
+// UnitInfo and the result it owns.
 class Parallelizer {
  public:
-  Parallelizer(fir::ProgramUnit& unit, const sema::SemaContext& sema,
+  Parallelizer(fir::ProgramUnit& unit, const sema::UnitInfo& info,
                const ParallelizeOptions& opts, ParallelizeResult& result)
-      : sema_(sema), opts_(opts), result_(result), unit_(&unit) {}
+      : info_(info), opts_(opts), result_(result), unit_(&unit) {}
 
   void run() {
     // Library internals are still processed: their loops can be
@@ -57,15 +57,15 @@ class Parallelizer {
   }
 
  private:
-  const sema::SemaContext& sema_;
+  const sema::UnitInfo& info_;
   const ParallelizeOptions& opts_;
   ParallelizeResult& result_;
   fir::ProgramUnit* unit_ = nullptr;
 
   bool trip_at_least_one(const fir::Stmt& loop) const {
     if (!loop.do_lo || !loop.do_hi || loop.do_step) return false;
-    auto lo = sema_.fold_int(unit_->name, *loop.do_lo);
-    auto hi = sema_.fold_int(unit_->name, *loop.do_hi);
+    auto lo = info_.fold_int(*loop.do_lo);
+    auto hi = info_.fold_int(*loop.do_hi);
     return lo && hi && *hi >= *lo;
   }
 
@@ -91,9 +91,6 @@ class Parallelizer {
     v.unit = unit_->name;
     v.do_var = L.do_var;
 
-    const sema::UnitInfo* uinfo = sema_.unit_info(unit_->name);
-    if (!uinfo) return false;
-
     auto block = [&](Blocker::Kind kind, std::string subject,
                      std::string detail) {
       v.blockers.push_back(Blocker{kind, std::move(subject), std::move(detail)});
@@ -117,14 +114,14 @@ class Parallelizer {
     };
 
     if (L.do_step) {
-      auto st = sema_.fold_int(unit_->name, *L.do_step);
+      auto st = info_.fold_int(*L.do_step);
       if (!st || *st != 1) {
         if (bail(Blocker::Kind::NonUnitStep, L.do_var, "non-unit step"))
           return false;
       }
     }
 
-    analysis::LoopRefs refs = analysis::collect_loop_refs(L, *uinfo);
+    analysis::LoopRefs refs = analysis::collect_loop_refs(L, info_);
     if (refs.has_call &&
         bail(Blocker::Kind::Call, "", "contains un-inlined CALL"))
       return false;
@@ -138,7 +135,7 @@ class Parallelizer {
 
     // Profitability first: cheap and mirrors Polaris' ordering.
     {
-      analysis::LoopBounds b = analysis::fold_bounds(L, sema_, unit_->name);
+      analysis::LoopBounds b = analysis::fold_bounds(L, info_);
       auto trip = b.trip();
       if (trip && *trip < opts_.min_trip) {
         if (bail(Blocker::Kind::Profitability, L.do_var,
@@ -152,7 +149,7 @@ class Parallelizer {
 
     // Scalars.
     analysis::ScalarClassification scalars =
-        analysis::classify_scalars(L, *uinfo, trip_ge1);
+        analysis::classify_scalars(L, info_, trip_ge1);
     for (const auto& name : scalars.blockers()) {
       if (bail(Blocker::Kind::Scalar, name, "scalar dependence on " + name))
         return false;
@@ -188,10 +185,10 @@ class Parallelizer {
     };
     // Bounds of this loop and inner loops (for Banerjee / SIV ranges).
     {
-      ctx.bounds[L.do_var] = analysis::fold_bounds(L, sema_, unit_->name);
+      ctx.bounds[L.do_var] = analysis::fold_bounds(L, info_);
       fir::walk_stmts(L.body, [&](const fir::Stmt& s) {
         if (s.kind == fir::StmtKind::Do)
-          ctx.bounds[s.do_var] = analysis::fold_bounds(s, sema_, unit_->name);
+          ctx.bounds[s.do_var] = analysis::fold_bounds(s, info_);
         return true;
       });
     }
@@ -265,7 +262,7 @@ class Parallelizer {
       }
       if (!carried) continue;
       analysis::ArrayPrivVerdict priv =
-          analysis::array_privatizable(L, a, *uinfo, trip_ge1);
+          analysis::array_privatizable(L, a, info_, trip_ge1);
       if (priv.privatizable) {
         private_arrays.push_back(a);
       } else {
@@ -303,10 +300,10 @@ class Parallelizer {
 }  // namespace
 
 ParallelizeResult parallelize_unit(fir::ProgramUnit& unit,
-                                   const sema::SemaContext& sema,
+                                   const sema::UnitInfo& info,
                                    const ParallelizeOptions& opts) {
   ParallelizeResult result;
-  Parallelizer p(unit, sema, opts, result);
+  Parallelizer p(unit, info, opts, result);
   p.run();
   return result;
 }
@@ -324,16 +321,12 @@ void merge_results(ParallelizeResult& into, ParallelizeResult&& other) {
 ParallelizeResult parallelize(fir::Program& prog, const ParallelizeOptions& opts,
                               DiagnosticEngine& diags) {
   (void)diags;
-  // The semantic context reflects the program before normalization; nothing
-  // normalization changes (PARAMETER constants, declarations, call targets)
-  // feeds the parallelizer's queries, so building it once up front matches
-  // the pass pipeline, which normalizes every unit before this point.
-  DiagnosticEngine scratch;
-  sema::SemaContext sema(prog, scratch);
+  // Each unit's facts are taken after its normalization, as the pass
+  // pipeline's parallelize pass takes them.
   ParallelizeResult result;
   for (auto& u : prog.units) {
     if (opts.normalize) xform::normalize_unit(*u);
-    merge_results(result, parallelize_unit(*u, sema, opts));
+    merge_results(result, parallelize_unit(*u, sema::analyze_unit(*u), opts));
   }
   return result;
 }

@@ -33,7 +33,7 @@
 #include "support/diagnostics.h"
 
 namespace ap::sema {
-class SemaContext;
+struct UnitInfo;
 }
 
 namespace ap::par {
@@ -96,13 +96,15 @@ ParallelizeResult parallelize(fir::Program& prog,
                               const ParallelizeOptions& opts,
                               DiagnosticEngine& diags);
 
-// Parallelize the loops of one unit against a shared program-wide semantic
-// context, without normalizing (run xform::normalize_unit first when
-// ParallelizeOptions::normalize is wanted). SemaContext is immutable after
-// construction, so concurrent calls on distinct units are safe — this is
-// the unit-granular entry point the pass manager fans out.
+// Parallelize the loops of one unit against that unit's semantic facts
+// (sema::analyze_unit of the unit as it stands now), without normalizing
+// (run xform::normalize_unit first when ParallelizeOptions::normalize is
+// wanted). The parallelizer reads sema for no other unit, so a caller
+// builds the UnitInfo per unit and only for the units it analyzes;
+// concurrent calls on distinct units are safe — this is the unit-granular
+// entry point the pass manager fans out.
 ParallelizeResult parallelize_unit(fir::ProgramUnit& unit,
-                                   const sema::SemaContext& sema,
+                                   const sema::UnitInfo& info,
                                    const ParallelizeOptions& opts);
 
 // Fold `other` into `into` preserving unit order: verdicts appended,

@@ -1,5 +1,6 @@
 #include "sema/symbols.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "support/text.h"
@@ -17,8 +18,16 @@ std::optional<int64_t> SymbolInfo::element_count() const {
 }
 
 const SymbolInfo* UnitInfo::find(std::string_view name) const {
-  auto it = symbols.find(fold_upper(name));
+  // Symbol names are upper-cased; only a mixed-case query (an AST built by
+  // hand) pays for a folded copy.
+  bool mixed = std::any_of(name.begin(), name.end(),
+                           [](char c) { return c >= 'a' && c <= 'z'; });
+  auto it = mixed ? symbols.find(fold_upper(name)) : symbols.find(name);
   return it == symbols.end() ? nullptr : &it->second;
+}
+
+std::optional<int64_t> UnitInfo::fold_int(const fir::Expr& e) const {
+  return fold_int_expr(e, consts);
 }
 
 std::optional<int64_t> fold_int_expr(
@@ -81,15 +90,7 @@ std::optional<int64_t> fold_int_expr(
   }
 }
 
-SemaContext::SemaContext(const fir::Program& prog, DiagnosticEngine& diags)
-    : prog_(&prog) {
-  for (const auto& u : prog.units) analyze_unit(*u, diags);
-  validate_calls(diags);
-  valid_ = !diags.has_errors();
-}
-
-void SemaContext::analyze_unit(const fir::ProgramUnit& u,
-                               DiagnosticEngine& diags) {
+UnitInfo analyze_unit(const fir::ProgramUnit& u) {
   UnitInfo info;
   info.unit = &u;
 
@@ -182,9 +183,22 @@ void SemaContext::analyze_unit(const fir::ProgramUnit& u,
     info.symbols[nm] = std::move(sym);
   }
 
-  if (units_.count(u.name))
-    diags.error(u.loc, "duplicate program unit '" + u.name + "'");
-  units_[u.name] = std::move(info);
+  // fold_int's environment: every symbol whose PARAMETER value folded.
+  for (const auto& [nm, sym] : info.symbols)
+    if (sym.const_value)
+      info.consts.emplace_hint(info.consts.end(), nm, *sym.const_value);
+  return info;
+}
+
+SemaContext::SemaContext(const fir::Program& prog, DiagnosticEngine& diags)
+    : prog_(&prog) {
+  for (const auto& u : prog.units) {
+    if (units_.count(u->name))
+      diags.error(u->loc, "duplicate program unit '" + u->name + "'");
+    units_[u->name] = analyze_unit(*u);
+  }
+  validate_calls(diags);
+  valid_ = !diags.has_errors();
 }
 
 void SemaContext::validate_calls(DiagnosticEngine& diags) {
@@ -274,10 +288,7 @@ std::optional<int64_t> SemaContext::fold_int(std::string_view unit,
                                              const fir::Expr& e) const {
   const UnitInfo* info = unit_info(unit);
   if (!info) return std::nullopt;
-  std::map<std::string, int64_t> consts;
-  for (const auto& [nm, sym] : info->symbols)
-    if (sym.const_value) consts[nm] = *sym.const_value;
-  return fold_int_expr(e, consts);
+  return info->fold_int(e);
 }
 
 }  // namespace ap::sema

@@ -3,13 +3,27 @@
 // structural validation. Every later stage (dependence analysis, the three
 // inliners, the parallelizer, the interpreter) queries this layer instead of
 // re-deriving facts from raw declarations.
+//
+// Two entry points share one analysis:
+//
+//   analyze_unit(unit) — the facts of ONE unit, computed from that unit
+//     alone (symbols, folded PARAMETER constants, callees). The
+//     parallelizer reads nothing else, so the pipeline's parallelize pass
+//     builds a UnitInfo lane-locally for each unit it analyzes and none
+//     for a unit the incremental tier restores.
+//   SemaContext(program) — analyze_unit over every unit plus the
+//     cross-unit checks (duplicate units, CALL targets and arity,
+//     subscript ranks) and the call-graph queries the inliners and the
+//     annotation generator need.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fir/ast.h"
@@ -51,14 +65,25 @@ struct SymbolInfo {
 
 struct UnitInfo {
   const fir::ProgramUnit* unit = nullptr;
-  std::map<std::string, SymbolInfo> symbols;
+  std::map<std::string, SymbolInfo, std::less<>> symbols;
+  // Every folded PARAMETER constant, built once with the symbols: the
+  // environment fold_int reads.
+  std::map<std::string, int64_t> consts;
   std::set<std::string> callees;        // direct CALL targets
   size_t stmt_count = 0;                // executable statements (inliner heuristic)
   bool has_io = false;                  // WRITE anywhere in the body
   bool has_stop = false;                // STOP anywhere in the body
 
   const SymbolInfo* find(std::string_view name) const;
+
+  // Fold an integer-valued expression of this unit using its PARAMETER
+  // constants. Returns nullopt for anything non-constant.
+  std::optional<int64_t> fold_int(const fir::Expr& e) const;
 };
+
+// The facts of one unit, from that unit alone. Cross-unit problems
+// (undefined CALL targets, rank mismatches) are SemaContext's to report.
+UnitInfo analyze_unit(const fir::ProgramUnit& u);
 
 class SemaContext {
  public:
@@ -78,13 +103,13 @@ class SemaContext {
   bool is_recursive(std::string_view unit) const;
 
   // Fold an integer-valued expression inside `unit` using PARAMETER
-  // constants. Returns nullopt for anything non-constant.
+  // constants (UnitInfo::fold_int). Returns nullopt for anything
+  // non-constant or an unknown unit.
   std::optional<int64_t> fold_int(std::string_view unit, const fir::Expr& e) const;
 
   bool valid() const { return valid_; }
 
  private:
-  void analyze_unit(const fir::ProgramUnit& u, DiagnosticEngine& diags);
   void validate_calls(DiagnosticEngine& diags);
 
   const fir::Program* prog_;
@@ -92,9 +117,8 @@ class SemaContext {
   bool valid_ = true;
 };
 
-// Standalone folder used by SemaContext and by passes that work on detached
-// snippets: folds +,-,*,/,**,unary minus over integer literals and the
-// supplied constant environment.
+// Standalone folder behind UnitInfo::fold_int: folds +,-,*,/,**,unary
+// minus over integer literals and the supplied constant environment.
 std::optional<int64_t> fold_int_expr(
     const fir::Expr& e,
     const std::map<std::string, int64_t>& consts);

@@ -13,11 +13,9 @@ std::string fold_upper(std::string_view s) {
 
 bool ieq(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(a[i])) !=
-        std::toupper(static_cast<unsigned char>(b[i])))
-      return false;
-  }
+  auto upper = [](char c) { return c >= 'a' && c <= 'z' ? c - 'a' + 'A' : c; };
+  for (size_t i = 0; i < a.size(); ++i)
+    if (a[i] != b[i] && upper(a[i]) != upper(b[i])) return false;
   return true;
 }
 

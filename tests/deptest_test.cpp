@@ -279,11 +279,10 @@ struct PairFixture {
     }
     wscal.insert(loop->do_var);
     ctx = make_ctx(loop_var, {}, wscal, warr);
-    ctx.bounds[loop->do_var] =
-        fold_bounds(*loop, *sema, prog->units[0]->name);
+    ctx.bounds[loop->do_var] = fold_bounds(*loop, *ui);
     fir::walk_stmts(loop->body, [&](const fir::Stmt& s) {
       if (s.kind == fir::StmtKind::Do)
-        ctx.bounds[s.do_var] = fold_bounds(s, *sema, prog->units[0]->name);
+        ctx.bounds[s.do_var] = fold_bounds(s, *ui);
       return true;
     });
   }

@@ -584,6 +584,190 @@ TEST(Plan, ParsePassPlanEqualsMakePlanForSuiteAndGeneratedPrograms) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Summary memo
+// ---------------------------------------------------------------------------
+
+// make_plan with a SummaryMemo, from the pipeline's own tokens and AST.
+incr::IncrPlan memo_plan(const std::string& source,
+                         const std::string& annotations, incr::DepMode mode,
+                         incr::SummaryMemo& memo) {
+  DiagnosticEngine diags;
+  auto toks = fir::lex(source, diags);
+  EXPECT_FALSE(diags.has_errors()) << diags.render_all();
+  auto fps = incr::fingerprint_units(toks, annotations);
+  auto prog = fir::parse_tokens(std::move(toks), diags);
+  EXPECT_TRUE(prog) << diags.render_all();
+  if (!prog) return {};
+  return incr::make_plan(fps, *prog, mode, &memo);
+}
+
+// Memoized summaries and graphs never change a key: every suite app and
+// generated program, in both modes, twice through one shared memo (the
+// second pass is served from it), against a memo-less make_plan.
+TEST(SummaryMemo, KeysEqualMemolessPlanForSuiteAndGeneratedPrograms) {
+  std::vector<suite::BenchmarkApp> apps = suite::perfect_suite();
+  for (uint32_t seed = 1; seed <= 24; ++seed)
+    apps.push_back(generated_app(seed));
+  incr::UnitCache cache(4096);
+  incr::SummaryMemo& memo = cache.summaries();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& app : apps) {
+      for (auto mode : {incr::DepMode::Directed, incr::DepMode::Bidirectional}) {
+        std::string what = app.name + " pass " + std::to_string(pass) +
+                           (mode == incr::DepMode::Directed ? " directed"
+                                                            : " bidirectional");
+        expect_same_plan(memo_plan(app.source, app.annotations, mode, memo),
+                         incr::make_plan(app.source, app.annotations, mode),
+                         what);
+      }
+    }
+  }
+  EXPECT_GT(memo.stats().summaries_reused, 0u);
+}
+
+// A main program and three subroutines sharing /C/; unit A holds one
+// literal, CALLs `a_calls` and assigns `a_assign`.
+std::string memo_program(const std::string& literal, const std::string& a_calls,
+                         const std::string& a_assign) {
+  return "      PROGRAM MAIN\n"
+         "      COMMON /C/ X, Y\n"
+         "      X = 1.0\n"
+         "      CALL A\n"
+         "      CALL B\n"
+         "      END\n"
+         "      SUBROUTINE A\n"
+         "      COMMON /C/ X, Y\n"
+         "      " + a_assign + " + " + literal + "\n" +
+         (a_calls.empty() ? "" : "      CALL " + a_calls + "\n") +
+         "      END\n"
+         "      SUBROUTINE B\n"
+         "      COMMON /C/ X, Y\n"
+         "      T = Y\n"
+         "      END\n"
+         "      SUBROUTINE LEAF\n"
+         "      Z = 1.0\n"
+         "      END\n";
+}
+
+// An edit sequence through one memo: a literal edit recomputes one summary
+// and reuses the graph; a changed CALL target and then changed COMMON
+// writes each miss the graph memo and move the closures. Every step keys
+// exactly as a memo-less plan.
+TEST(SummaryMemo, EditSequenceRebuildsTheGraphOnlyWhenASummaryChanges) {
+  incr::SummaryMemo memo;
+  auto step = [&](const std::string& src, const std::string& what) {
+    incr::IncrPlan got = memo_plan(src, "", incr::DepMode::Directed, memo);
+    expect_same_plan(got, incr::make_plan(src, ""), what);
+    return got;
+  };
+
+  incr::IncrPlan base = step(memo_program("2.0", "", "Y = X"), "base");
+  incr::SummaryMemo::Stats s0 = memo.stats();
+  EXPECT_EQ(s0.summaries_computed, 4u);
+  EXPECT_EQ(s0.graphs_built, 1u);
+
+  // Literal edit in A: A's key and MAIN's (A is in MAIN's call closure)
+  // and B's (B reads Y, which A writes) move; LEAF's does not.
+  incr::IncrPlan lit = step(memo_program("3.0", "", "Y = X"), "literal");
+  incr::SummaryMemo::Stats s1 = memo.stats();
+  EXPECT_EQ(s1.summaries_computed - s0.summaries_computed, 1u);
+  EXPECT_EQ(s1.summaries_reused - s0.summaries_reused, 3u);
+  EXPECT_EQ(s1.graphs_reused - s0.graphs_reused, 1u);
+  EXPECT_EQ(s1.graphs_built, s0.graphs_built);
+  EXPECT_NE(lit.find("A")->key, base.find("A")->key);
+  EXPECT_NE(lit.find("MAIN")->key, base.find("MAIN")->key);
+  EXPECT_NE(lit.find("B")->key, base.find("B")->key);
+  EXPECT_EQ(lit.find("LEAF")->key, base.find("LEAF")->key);
+
+  // A now CALLs LEAF: A's summary changes, the graph is rebuilt, and
+  // LEAF joins A's closure — so editing LEAF would now reach A.
+  const std::string calls = memo_program("3.0", "LEAF", "Y = X");
+  incr::IncrPlan call = step(calls, "call target");
+  incr::SummaryMemo::Stats s2 = memo.stats();
+  EXPECT_EQ(s2.summaries_computed - s1.summaries_computed, 1u);
+  EXPECT_EQ(s2.graphs_built - s1.graphs_built, 1u);
+  EXPECT_EQ(s2.graphs_reused, s1.graphs_reused);
+  std::string leaf_edited = calls;
+  leaf_edited.replace(leaf_edited.find("Z = 1.0"), 7, "Z = 5.0");
+  EXPECT_NE(incr::make_plan(leaf_edited, "").find("A")->key,
+            call.find("A")->key);
+
+  // A now writes X instead of Y: nothing writes the Y that B reads, so
+  // B's closure loses A and B's key changes with the graph.
+  incr::IncrPlan writes = step(memo_program("3.0", "LEAF", "X = Y"), "writes");
+  incr::SummaryMemo::Stats s3 = memo.stats();
+  EXPECT_EQ(s3.summaries_computed - s2.summaries_computed, 1u);
+  EXPECT_EQ(s3.graphs_built - s2.graphs_built, 1u);
+  EXPECT_NE(writes.find("B")->key, call.find("B")->key);
+  EXPECT_EQ(memo.entries(), 4u);  // one summary per unit name
+}
+
+// A program of the edit benchmark's size: a main program CALLing 132
+// subroutines that share four COMMON blocks, some calling the next; unit
+// Wk's coefficient literal is coeffs[k - 1].
+std::string wide_program(const std::vector<std::string>& coeffs) {
+  const size_t subs = coeffs.size();
+  std::string src = "      PROGRAM WMAIN\n";
+  for (size_t b = 0; b < 4; ++b)
+    src += "      COMMON /W" + std::to_string(b) + "/ P" + std::to_string(b) +
+           "(64), Q" + std::to_string(b) + "(64)\n";
+  for (size_t k = 1; k <= subs; ++k) src += "      CALL W" + std::to_string(k) + "\n";
+  src += "      END\n";
+  for (size_t k = 1; k <= subs; ++k) {
+    std::string b = std::to_string(k % 4), l = std::to_string(10 + k);
+    src += "      SUBROUTINE W" + std::to_string(k) + "\n";
+    src += "      COMMON /W" + b + "/ P" + b + "(64), Q" + b + "(64)\n";
+    src += "      DO " + l + " I = 1, 64\n";
+    src += "        P" + b + "(I) = Q" + b + "(I) * " + coeffs[k - 1] + "\n";
+    src += "   " + l + " CONTINUE\n";
+    if (k % 7 == 0 && k < subs) src += "      CALL W" + std::to_string(k + 1) + "\n";
+    src += "      END\n";
+  }
+  return src;
+}
+
+// The served edit's case: a literal-only edit of one unit of a 133-unit
+// program summarizes that unit alone and reuses the graph, and the plan's
+// keys still equal a memo-less plan's; the pipeline's parse pass goes
+// through the same memo.
+TEST(SummaryMemo, LiteralEditOfWideProgramRecomputesOneSummary) {
+  incr::UnitCache cache(4096);
+  incr::SummaryMemo& memo = cache.summaries();
+  std::vector<std::string> coeffs(132, "1.5");
+  const std::string base = wide_program(coeffs);
+  expect_same_plan(memo_plan(base, "", incr::DepMode::Directed, memo),
+                   incr::make_plan(base, ""), "base");
+  ASSERT_EQ(memo.entries(), 133u);
+  for (size_t edited : {1u, 57u, 132u, 57u}) {
+    coeffs[edited - 1] += "5";
+    const std::string src = wide_program(coeffs);
+    incr::SummaryMemo::Stats before = memo.stats();
+    expect_same_plan(memo_plan(src, "", incr::DepMode::Directed, memo),
+                     incr::make_plan(src, ""), "W" + std::to_string(edited));
+    incr::SummaryMemo::Stats after = memo.stats();
+    EXPECT_EQ(after.summaries_computed - before.summaries_computed, 1u);
+    EXPECT_EQ(after.summaries_reused - before.summaries_reused, 132u);
+    EXPECT_EQ(after.graphs_reused - before.graphs_reused, 1u);
+    EXPECT_EQ(after.graphs_built, before.graphs_built);
+  }
+
+  // Through the pipeline: an edited compile with the unit cache attached.
+  suite::BenchmarkApp app;
+  app.name = "WIDE";
+  coeffs[89] = "4.5";
+  app.source = wide_program(coeffs);
+  PipelineOptions opts;
+  opts.unit_cache = &cache;
+  incr::SummaryMemo::Stats before = memo.stats();
+  PipelineResult r = driver::run_pipeline(app, opts);
+  ASSERT_TRUE(r.ok) << r.error;
+  incr::SummaryMemo::Stats after = memo.stats();
+  EXPECT_EQ(after.summaries_computed - before.summaries_computed, 1u);
+  EXPECT_EQ(after.graphs_reused - before.graphs_reused, 1u);
+  EXPECT_EQ(memo.entries(), 133u);
+}
+
 // Plan keys are content-only (the artifact layer adds option hashes per
 // boundary): the same source always produces the same keys, and the two
 // dependence modes differ exactly where their closures differ.

@@ -154,6 +154,22 @@ TEST(Lexer, UnknownDotOperatorReportsError) {
   EXPECT_TRUE(d.has_errors());
 }
 
+// A '.' that starts no operator is reported where it stands, and the
+// tokens after it keep their columns.
+TEST(Lexer, StrayDotKeepsColumns) {
+  DiagnosticEngine d;
+  auto toks = lex("  X .AB Y\n", d);
+  ASSERT_TRUE(d.has_errors());
+  EXPECT_NE(d.render_all().find("1:5"), std::string::npos) << d.render_all();
+  bool found = false;
+  for (const auto& t : toks)
+    if (t.kind == Tok::Ident && t.text == "Y") {
+      EXPECT_EQ(t.loc.column, 9u);
+      found = true;
+    }
+  EXPECT_TRUE(found);
+}
+
 TEST(Lexer, SourceLocations) {
   auto toks = lex_ok("      X = 1\n      Y = 2\n");
   ASSERT_GE(toks.size(), 5u);

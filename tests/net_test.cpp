@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -397,20 +399,54 @@ int open_fd_count() {
   return n;
 }
 
-// A program whose execution is long enough to observe queueing (hundreds
-// of milliseconds on the tree engine).
-suite::BenchmarkApp spin_app() {
+// Holds every request named "BLOCKED" inside the server's executor until
+// the test releases it, so queueing, deadlines and drain are observed
+// without a wall-clock race: the blocked request cannot finish early, and
+// the test waits on the gate instead of sleeping.
+class Gate {
+ public:
+  // Called on a worker lane: blocks until release().
+  void pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+  // Waits until `n` requests are held (or were held) at the gate.
+  bool wait_entered(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(60),
+                        [&] { return entered_ >= n; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+// Polls `cond` until it holds; false after a minute. For server state the
+// loop thread publishes asynchronously (admission, drain).
+template <typename Cond>
+bool eventually(Cond cond) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+suite::BenchmarkApp blocked_app() {
   suite::BenchmarkApp app;
-  app.name = "SPIN";
-  app.source = "      PROGRAM SPIN\n"
-               "      REAL A(10)\n"
-               "      INTEGER I, J\n"
-               "      DO 20 J = 1, 2000000\n"
-               "      DO 10 I = 1, 10\n"
-               "        A(I) = A(I) + 1.0\n"
-               "   10 CONTINUE\n"
-               "   20 CONTINUE\n"
-               "      END\n";
+  app.name = "BLOCKED";
+  app.source = "      PROGRAM BLOCKED\n      END\n";
   return app;
 }
 
@@ -430,10 +466,14 @@ suite::BenchmarkApp quick_app() {
 struct LiveServer {
   service::ResultCache cache{64};
   service::Scheduler scheduler;
+  Gate* gate = nullptr;
   net::Server server;
 
-  explicit LiveServer(net::ServerOptions opts = {})
-      : scheduler(make_sched_opts()), server(patch(opts)) {
+  // With a gate, the server dispatches through ServerOptions::executor:
+  // requests named BLOCKED wait at the gate, everything else compiles
+  // through the scheduler.
+  explicit LiveServer(net::ServerOptions opts = {}, Gate* gate = nullptr)
+      : scheduler(make_sched_opts()), gate(gate), server(patch(opts)) {
     std::string err;
     if (!server.start(&err)) ADD_FAILURE() << "server start failed: " << err;
   }
@@ -448,10 +488,32 @@ struct LiveServer {
   net::ServerOptions patch(net::ServerOptions opts) {
     opts.port = 0;
     opts.scheduler = &scheduler;
+    if (gate) opts.executor = [this](const net::Request& req,
+                                     std::vector<obs::Span>*) {
+      return gated_execute(req);
+    };
     return opts;
   }
 
+  net::Response gated_execute(const net::Request& req) {
+    net::Response resp;
+    if (req.name == "BLOCKED") {
+      gate->pass();
+      return resp;
+    }
+    service::CompileJob job;
+    job.app.name = req.name;
+    job.app.source = req.source;
+    job.app.annotations = req.annotations;
+    job.opts = req.options;
+    resp.result = scheduler.run_one(job);
+    resp.has_result = true;
+    if (!resp.result.ok) resp.status = net::Status::Error;
+    return resp;
+  }
+
   ~LiveServer() {
+    if (gate) gate->release();  // never drain with a request held
     server.begin_drain();
     server.wait();
   }
@@ -463,15 +525,6 @@ net::Request compile_request(const suite::BenchmarkApp& app) {
   req.name = app.name;
   req.source = app.source;
   req.annotations = app.annotations;
-  return req;
-}
-
-net::Request run_request(const suite::BenchmarkApp& app) {
-  net::Request req = compile_request(app);
-  req.type = net::RequestType::Run;
-  req.interp.engine = interp::Engine::Tree;
-  req.interp.num_threads = 1;
-  req.interp.max_steps = 100'000'000;
   return req;
 }
 
@@ -571,12 +624,12 @@ TEST(Server, HalfOpenDisconnectMidRequestLeaksNoFd) {
         std::string_view(frame).substr(0, frame.size() / 2), &err));
     client.close();  // disconnect mid-request
   }
-  // Give the loop a moment to reap the closed sockets.
-  for (int i = 0; i < 50; ++i) {
-    if (open_fd_count() <= fds_before) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_LE(open_fd_count(), fds_before);
+  // The loop accepts each connection, reads half a frame, sees EOF and
+  // closes. Wait for all three accepts first: before them the count can
+  // read low only because no server-side descriptor exists yet.
+  ASSERT_TRUE(eventually([&] { return live.server.stats().connections >= 3; }));
+  EXPECT_TRUE(eventually([&] { return open_fd_count() <= fds_before; }))
+      << open_fd_count() << " descriptors open, " << fds_before << " before";
 
   // The server remains fully usable.
   net::Client client;
@@ -592,20 +645,21 @@ TEST(Server, OverloadDrawsStructuredRejection) {
   opts.threads = 1;
   opts.max_queue = 1;
   opts.request_timeout_ms = 0;  // no deadlines in this test
-  LiveServer live(opts);
+  Gate gate;
+  LiveServer live(opts, &gate);
 
-  // Occupy the single worker with a slow run, then fill the queue.
+  // Hold the single worker at the gate, then fill the queue.
   net::Client blocker;
   std::string err;
   ASSERT_TRUE(blocker.connect(live.server.port(), &err, 60'000)) << err;
-  ASSERT_TRUE(blocker.submit(run_request(spin_app()), nullptr, &err)) << err;
-  // Wait until the worker has picked the job up (queue empty again).
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_TRUE(blocker.submit(compile_request(blocked_app()), nullptr, &err))
+      << err;
+  ASSERT_TRUE(gate.wait_entered(1));
 
   net::Client filler;
   ASSERT_TRUE(filler.connect(live.server.port(), &err, 60'000)) << err;
   ASSERT_TRUE(filler.submit(compile_request(quick_app()), nullptr, &err));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(eventually([&] { return live.server.stats().accepted >= 2; }));
 
   // Queue now holds one request; the next must be rejected immediately.
   net::Client rejected;
@@ -616,6 +670,7 @@ TEST(Server, OverloadDrawsStructuredRejection) {
   EXPECT_GE(live.server.stats().rejected_overload, 1u);
 
   // The accepted requests are still answered — never dropped.
+  gate.release();
   auto blocked_payload = blocker.recv_frame(&err);
   ASSERT_TRUE(blocked_payload.has_value()) << err;
   auto filled_payload = filler.recv_frame(&err);
@@ -625,19 +680,21 @@ TEST(Server, OverloadDrawsStructuredRejection) {
 TEST(Server, DeadlineExceededWhileRunning) {
   net::ServerOptions opts;
   opts.threads = 1;
-  LiveServer live(opts);
+  Gate gate;
+  LiveServer live(opts, &gate);
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 60'000)) << err;
-  net::Request req = run_request(spin_app());
-  req.deadline_ms = 100;  // far less than the spin takes
+  net::Request req = compile_request(blocked_app());
+  req.deadline_ms = 100;  // the gate holds the request until released
   net::Response resp;
   ASSERT_TRUE(client.call(std::move(req), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::DeadlineExceeded);
   EXPECT_GE(live.server.stats().timed_out, 1u);
 
-  // The worker eventually finishes the abandoned job and the server stays
-  // healthy for new work on the same connection.
+  // The worker finishes the abandoned job once released, and the server
+  // stays healthy for new work on the same connection.
+  gate.release();
   net::Response ok;
   ASSERT_TRUE(client.call(compile_request(quick_app()), &ok, &err)) << err;
   EXPECT_EQ(ok.status, net::Status::Ok);
@@ -647,18 +704,20 @@ TEST(Server, DrainRejectsNewWorkAndFinishesAccepted) {
   net::ServerOptions opts;
   opts.threads = 1;
   opts.request_timeout_ms = 0;
-  LiveServer live(opts);
+  Gate gate;
+  LiveServer live(opts, &gate);
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 60'000)) << err;
-  // An in-flight slow request...
-  ASSERT_TRUE(client.submit(run_request(spin_app()), nullptr, &err)) << err;
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // An in-flight request held at the gate...
+  ASSERT_TRUE(client.submit(compile_request(blocked_app()), nullptr, &err))
+      << err;
+  ASSERT_TRUE(gate.wait_entered(1));
   // ...then drain. The accepted request must still be answered.
   live.server.begin_drain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(live.server.draining());
+  ASSERT_TRUE(eventually([&] { return live.server.draining(); }));
 
+  gate.release();
   net::Response resp;
   ASSERT_TRUE(client.recv_any(&resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Ok);
@@ -1139,22 +1198,26 @@ TEST(Server, BinaryUnsupportedVersionIsStructuredAndNonFatal) {
 TEST(Server, PipelinedResponsesReturnOutOfOrder) {
   net::ServerOptions opts;
   opts.threads = 2;  // both requests must run concurrently
-  LiveServer live(opts);
+  Gate gate;
+  LiveServer live(opts, &gate);
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 120'000)) << err;
   ASSERT_TRUE(client.negotiate(&err)) << err;
 
-  // Submit a slow run, then a quick compile, without reading in between.
-  // The quick one's response overtakes on the shared connection.
+  // Submit a request the gate holds, then a quick compile, without
+  // reading in between. The quick one's response overtakes on the shared
+  // connection; the held one is released only after it arrived.
   int64_t slow_id = 0, quick_id = 0;
-  ASSERT_TRUE(client.submit(run_request(spin_app()), &slow_id, &err)) << err;
+  ASSERT_TRUE(client.submit(compile_request(blocked_app()), &slow_id, &err))
+      << err;
   ASSERT_TRUE(client.submit(compile_request(quick_app()), &quick_id, &err))
       << err;
   ASSERT_NE(slow_id, quick_id);
 
   net::Response first, second;
   ASSERT_TRUE(client.recv_any(&first, &err)) << err;
+  gate.release();
   ASSERT_TRUE(client.recv_any(&second, &err)) << err;
   EXPECT_EQ(first.id, quick_id);
   EXPECT_EQ(second.id, slow_id);

@@ -166,6 +166,31 @@ TEST(Parser, LabeledTerminatorIsRealStatement) {
   EXPECT_EQ(loop.body[0]->kind, StmtKind::Assign);
 }
 
+// Labels are per unit: a unit whose first loop reuses the label that
+// closed the previous unit's last loop still gets its body.
+TEST(Parser, LabelReuseAcrossUnitsKeepsLoopBody) {
+  auto p = parse_ok(R"(
+      SUBROUTINE A
+      REAL X(10)
+      DO 10 I = 1, 10
+        X(I) = 1.0
+   10 CONTINUE
+      END
+      SUBROUTINE B
+      REAL Y(10)
+      DO 10 I = 1, 10
+        Y(I) = 2.0
+   10 CONTINUE
+      END
+)");
+  ASSERT_EQ(p->units.size(), 2u);
+  for (const auto& u : p->units) {
+    ASSERT_EQ(u->body.size(), 1u) << u->name;
+    EXPECT_EQ(u->body[0]->kind, StmtKind::Do) << u->name;
+    EXPECT_EQ(u->body[0]->body.size(), 1u) << u->name;
+  }
+}
+
 TEST(Parser, DoWithStep) {
   auto p = parse_ok("      PROGRAM T\n      DO I = 10, 1, -1\n      X = I\n      ENDDO\n      END\n");
   auto* loop = test::find_loop(*p->units[0], "I");

@@ -3,9 +3,18 @@
 // tester (paper §III.D) across thread counts.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "driver/passes.h"
 #include "driver/pipeline.h"
 #include "interp/tester.h"
+#include "sema/symbols.h"
 #include "suite/suite.h"
+#include "support/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace ap {
@@ -262,6 +271,125 @@ TEST(Table2, InliningHelpsAboutHalfTheSuite) {
   }
   EXPECT_GE(helped, 6);
   EXPECT_LE(helped, 9);
+}
+
+// ---------------------------------------------------------------------------
+// Per-unit sema: the parallelize pass analyzes each unit on its own
+// (sema::analyze_unit in the lane). The reference is the pass as it was
+// before, kept only here: one whole-program SemaContext built at begin()
+// and shared by every lane.
+// ---------------------------------------------------------------------------
+
+class WholeProgramSemaParallelize : public pm::Pass {
+ public:
+  explicit WholeProgramSemaParallelize(driver::PipelineContext& cx) : cx_(cx) {}
+  std::string_view name() const override { return "parallelize"; }
+  pm::PassKind kind() const override { return pm::PassKind::PerUnit; }
+
+  void begin(pm::PassState& st) override {
+    DiagnosticEngine scratch;
+    sema_ = std::make_unique<sema::SemaContext>(*st.program, scratch);
+    slots_.assign(st.program->units.size(), par::ParallelizeResult{});
+  }
+  void run_unit(fir::ProgramUnit& unit, size_t unit_index,
+                DiagnosticEngine&) override {
+    slots_[unit_index] = par::parallelize_unit(
+        unit, *sema_->unit_info(unit.name), cx_.opts.par);
+  }
+  void end(pm::PassState&) override {
+    for (auto& slot : slots_)
+      par::merge_results(cx_.result->par, std::move(slot));
+  }
+
+ private:
+  driver::PipelineContext& cx_;
+  std::unique_ptr<sema::SemaContext> sema_;
+  std::vector<par::ParallelizeResult> slots_;
+};
+
+// The pipeline's pass sequence with parallelize swapped for the reference.
+PipelineResult run_whole_program_sema(const suite::BenchmarkApp& app,
+                                      InlineConfig cfg, int lanes) {
+  PipelineResult result;
+  driver::PipelineContext cx;
+  cx.app = &app;
+  cx.opts.config = cfg;
+  cx.result = &result;
+  ThreadPool pool(lanes);
+  pm::PassManagerOptions mopts;
+  if (lanes > 1) mopts.pool = &pool;
+  pm::PassManager manager(mopts);
+  for (auto& p : driver::build_pass_sequence(cx)) {
+    if (p->name() == "parallelize")
+      manager.add(std::make_unique<WholeProgramSemaParallelize>(cx));
+    else
+      manager.add(std::move(p));
+  }
+  DiagnosticEngine diags;
+  pm::PassState st;
+  st.diags = &diags;
+  EXPECT_TRUE(manager.run(st)) << app.name << ": " << manager.error();
+  return result;
+}
+
+void expect_same_verdicts(const par::ParallelizeResult& a,
+                          const par::ParallelizeResult& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.parallelized, b.parallelized) << what;
+  EXPECT_EQ(a.dep_tests, b.dep_tests) << what;
+  EXPECT_EQ(a.dep_tests_unique, b.dep_tests_unique) << what;
+  ASSERT_EQ(a.loops.size(), b.loops.size()) << what;
+  for (size_t i = 0; i < a.loops.size(); ++i) {
+    const par::LoopVerdict& x = a.loops[i];
+    const par::LoopVerdict& y = b.loops[i];
+    std::string at = what + " verdict " + std::to_string(i);
+    EXPECT_EQ(x.origin_id, y.origin_id) << at;
+    EXPECT_EQ(x.unit, y.unit) << at;
+    EXPECT_EQ(x.do_var, y.do_var) << at;
+    EXPECT_EQ(x.parallel, y.parallel) << at;
+    EXPECT_EQ(x.reason, y.reason) << at;
+    ASSERT_EQ(x.blockers.size(), y.blockers.size()) << at;
+    for (size_t k = 0; k < x.blockers.size(); ++k) {
+      EXPECT_EQ(x.blockers[k].kind, y.blockers[k].kind) << at;
+      EXPECT_EQ(x.blockers[k].subject, y.blockers[k].subject) << at;
+      EXPECT_EQ(x.blockers[k].detail, y.blockers[k].detail) << at;
+    }
+  }
+}
+
+TEST(PerUnitSema, MatchesWholeProgramContextOnEveryJob) {
+  const InlineConfig configs[] = {InlineConfig::None, InlineConfig::Conventional,
+                                  InlineConfig::Annotation};
+  for (int lanes : {1, 4}) {
+    std::map<InlineConfig, size_t> loops;
+    int annotation_losses = 0;
+    for (const auto& app : suite::perfect_suite()) {
+      std::set<int64_t> none_loops;
+      for (InlineConfig cfg : configs) {
+        std::string what = app.name + " " + driver::config_name(cfg) +
+                           " lanes " + std::to_string(lanes);
+        PipelineOptions opts;
+        opts.config = cfg;
+        opts.unit_threads = lanes;
+        PipelineResult got = driver::run_pipeline(app, opts);
+        ASSERT_TRUE(got.ok) << what << ": " << got.error;
+        PipelineResult want = run_whole_program_sema(app, cfg, lanes);
+        expect_same_verdicts(got.par, want.par, what);
+        EXPECT_EQ(got.program_text, want.program_text) << what;
+        EXPECT_EQ(got.parallel_loops, want.parallel_loops) << what;
+        loops[cfg] += got.parallel_loops.size();
+        if (cfg == InlineConfig::None) none_loops = got.parallel_loops;
+        if (cfg == InlineConfig::Annotation)
+          for (int64_t id : none_loops)
+            annotation_losses += got.parallel_loops.count(id) ? 0 : 1;
+      }
+    }
+    // Table II: 104 / 99 / 117 parallel loops, no annotation losses.
+    EXPECT_EQ(loops[InlineConfig::None], 104u) << "lanes " << lanes;
+    EXPECT_EQ(loops[InlineConfig::Conventional], 99u) << "lanes " << lanes;
+    EXPECT_EQ(loops[InlineConfig::Annotation], 117u) << "lanes " << lanes;
+    EXPECT_EQ(annotation_losses, 0) << "lanes " << lanes;
+  }
 }
 
 }  // namespace
