@@ -7,6 +7,7 @@
 #include "interp/interp.h"
 #include "support/fnv.h"
 #include "support/thread_pool.h"
+#include "support/tlv.h"
 
 namespace ap::driver {
 
@@ -31,29 +32,7 @@ double PipelineTimings::pass_ms(std::string_view name) const {
 }
 
 uint64_t hash_pipeline_options(uint64_t h, const PipelineOptions& o) {
-  // Field order is part of the persisted key; append-only (bump the cache
-  // format versions when an existing field changes meaning).
-  h = fnv_u64(h, static_cast<uint64_t>(static_cast<int>(o.config)));
-  h = fnv_u64(h, static_cast<uint64_t>(o.par.min_trip));
-  h = fnv_u64(h, (o.par.normalize ? 1u : 0u) | (o.par.mark_nested ? 2u : 0u) |
-                     (o.par.use_banerjee ? 4u : 0u) |
-                     (o.par.use_siv_refinement ? 8u : 0u) |
-                     (o.par.collect_all_blockers ? 16u : 0u));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_stmts));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_callee_calls));
-  h = fnv_u64(h, (o.conv.require_in_loop ? 1u : 0u) |
-                     (o.conv.eliminate_dead_units ? 2u : 0u));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_passes));
-  h = fnv_u64(h, o.annot.require_in_loop ? 1u : 0u);
-  h = fnv_u64(h, (o.reverse.tolerate_reordering ? 1u : 0u) |
-                     (o.reverse.tolerate_forward_subst ? 2u : 0u) |
-                     (o.reverse.tolerate_literals ? 4u : 0u) |
-                     (o.reverse.fallback_to_hints ? 8u : 0u));
-  h = fnv1a(h, o.stop_after);
-  h = fnv1a(h, std::string_view("\0", 1));
-  h = fnv1a(h, o.print_after);
-  h = fnv1a(h, std::string_view("\0", 1));
-  return h;
+  return tlv::hash(h, o);
 }
 
 PipelineResult run_pipeline(const suite::BenchmarkApp& app,

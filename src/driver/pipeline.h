@@ -83,11 +83,38 @@ struct PipelineOptions {
   bool bidirectional_common = false;
 };
 
-// Folds every PipelineOptions field that can change the produced result
-// (the same set options_fingerprint prints; execution knobs excluded) into
-// an FNV-1a hash. service::cache_key and the incr unit keys both build on
-// this, so the two cache tiers can never disagree about which options are
-// semantic.
+// The serialized fields (support/tlv.h): every option that can change the
+// produced result. The execution knobs (unit_threads, unit_pool, verify,
+// unit_cache, bidirectional_common) stay out of the list, so out of the
+// wire and the cache keys.
+template <class V>
+void fields(V& v, PipelineOptions& o) {
+  v.field(1, "config", o.config, InlineConfig::Annotation);
+  v.field(2, "par.min_trip", o.par.min_trip);
+  v.field(3, "par.normalize", o.par.normalize);
+  v.field(4, "par.mark_nested", o.par.mark_nested);
+  v.field(5, "par.use_banerjee", o.par.use_banerjee);
+  v.field(6, "par.use_siv_refinement", o.par.use_siv_refinement);
+  v.field(7, "par.collect_all_blockers", o.par.collect_all_blockers);
+  v.field(8, "conv.max_stmts", o.conv.max_stmts);
+  v.field(9, "conv.max_callee_calls", o.conv.max_callee_calls);
+  v.field(10, "conv.require_in_loop", o.conv.require_in_loop);
+  v.field(11, "conv.eliminate_dead_units", o.conv.eliminate_dead_units);
+  v.field(12, "conv.max_passes", o.conv.max_passes);
+  v.field(13, "annot.require_in_loop", o.annot.require_in_loop);
+  v.field(14, "reverse.tolerate_reordering", o.reverse.tolerate_reordering);
+  v.field(15, "reverse.tolerate_forward_subst",
+          o.reverse.tolerate_forward_subst);
+  v.field(16, "reverse.tolerate_literals", o.reverse.tolerate_literals);
+  v.field(17, "reverse.fallback_to_hints", o.reverse.fallback_to_hints);
+  if (v.when(!o.stop_after.empty())) v.field(18, "stop_after", o.stop_after);
+  if (v.when(!o.print_after.empty()))
+    v.field(19, "print_after", o.print_after);
+}
+
+// FNV-1a over the field list above. service::cache_key and the incr unit
+// keys both build on this, so the two cache tiers can never disagree about
+// which options are semantic.
 uint64_t hash_pipeline_options(uint64_t h, const PipelineOptions& opts);
 
 // Per-pass wall times for one pipeline run: one record per executed pass,

@@ -151,6 +151,21 @@ struct OmpInfo {
   bool nowait = false;
 };
 
+// The serialized fields (support/tlv.h).
+template <class V>
+void fields(V& v, OmpInfo::Reduction& r) {
+  v.field(1, "op", r.op);
+  v.field(2, "var", r.var);
+}
+template <class V>
+void fields(V& v, OmpInfo& o) {
+  v.field(1, "parallel", o.parallel);
+  v.field(2, "privates", o.privates);
+  v.field(3, "firstprivates", o.firstprivates);
+  v.field(4, "reductions", o.reductions);
+  v.field(5, "nowait", o.nowait);
+}
+
 struct Stmt {
   StmtKind kind;
   SourceLoc loc;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/disk_budget.h"
+#include "support/tlv.h"
 
 namespace ap::incr {
 
@@ -16,21 +17,6 @@ std::string hex16(uint64_t key) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, key);
   return buf;
-}
-
-void wr_str(std::ostream& s, const std::string& v) {
-  s << v.size() << "\n" << v << "\n";
-}
-
-bool rd_str(std::istream& in, std::string& v) {
-  size_t n = 0;
-  if (!(in >> n)) return false;
-  in.get();  // the newline terminating the length header
-  v.resize(n);
-  in.read(v.data(), static_cast<std::streamsize>(n));
-  if (in.gcount() != static_cast<std::streamsize>(n)) return false;
-  in.get();  // trailing newline
-  return true;
 }
 
 }  // namespace
@@ -93,106 +79,16 @@ std::optional<par::ParallelizeResult> apply_snapshot(
 }
 
 std::string serialize_snapshot(const UnitSnapshot& snap) {
-  std::ostringstream s;
-  s << "APUNIT " << kUnitCacheFormatVersion << "\n";
-  s << "do_count " << snap.do_count << "\n";
-  s << "origin_ids " << snap.origin_ids.size();
-  for (int64_t id : snap.origin_ids) s << ' ' << id;
-  s << "\n";
-  s << "marks " << snap.marks.size() << "\n";
-  for (const auto& m : snap.marks) {
-    s << "mark " << m.do_index << ' ' << (m.omp.parallel ? 1 : 0) << ' '
-      << (m.omp.nowait ? 1 : 0) << ' ' << m.omp.privates.size() << ' '
-      << m.omp.firstprivates.size() << ' ' << m.omp.reductions.size() << "\n";
-    for (const auto& v : m.omp.privates) wr_str(s, v);
-    for (const auto& v : m.omp.firstprivates) wr_str(s, v);
-    for (const auto& r : m.omp.reductions) {
-      wr_str(s, r.op);
-      wr_str(s, r.var);
-    }
-  }
-  s << "par " << snap.par.parallelized << ' ' << snap.par.dep_tests << ' '
-    << snap.par.dep_tests_unique << "\n";
-  s << "loops " << snap.par.loops.size() << "\n";
-  for (const auto& v : snap.par.loops) {
-    s << "loop " << v.origin_id << ' ' << (v.parallel ? 1 : 0) << ' '
-      << v.blockers.size() << "\n";
-    wr_str(s, v.unit);
-    wr_str(s, v.do_var);
-    wr_str(s, v.reason);
-    for (const auto& b : v.blockers) {
-      s << "blocker " << static_cast<int>(b.kind) << "\n";
-      wr_str(s, b.subject);
-      wr_str(s, b.detail);
-    }
-  }
-  return s.str();
+  std::string out;
+  tlv::encode(kSnapshotMagic, kUnitCacheFormatVersion, snap, &out);
+  return out;
 }
 
-std::optional<UnitSnapshot> deserialize_snapshot(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string tag;
-  uint32_t version = 0;
-  if (!(in >> tag >> version) || tag != "APUNIT" ||
-      version != kUnitCacheFormatVersion)
-    return std::nullopt;
-
+std::optional<UnitSnapshot> deserialize_snapshot(std::string_view bytes) {
   UnitSnapshot snap;
-  if (!(in >> tag >> snap.do_count) || tag != "do_count") return std::nullopt;
-  size_t nids = 0;
-  if (!(in >> tag >> nids) || tag != "origin_ids") return std::nullopt;
-  snap.origin_ids.resize(nids);
-  for (auto& id : snap.origin_ids)
-    if (!(in >> id)) return std::nullopt;
-  size_t nmarks = 0;
-  if (!(in >> tag >> nmarks) || tag != "marks") return std::nullopt;
-  for (size_t i = 0; i < nmarks; ++i) {
-    OmpMark m;
-    int parallel = 0, nowait = 0;
-    size_t npriv = 0, nfirst = 0, nred = 0;
-    if (!(in >> tag >> m.do_index >> parallel >> nowait >> npriv >> nfirst >>
-          nred) ||
-        tag != "mark")
-      return std::nullopt;
-    m.omp.parallel = parallel != 0;
-    m.omp.nowait = nowait != 0;
-    m.omp.privates.resize(npriv);
-    for (auto& v : m.omp.privates)
-      if (!rd_str(in, v)) return std::nullopt;
-    m.omp.firstprivates.resize(nfirst);
-    for (auto& v : m.omp.firstprivates)
-      if (!rd_str(in, v)) return std::nullopt;
-    m.omp.reductions.resize(nred);
-    for (auto& r : m.omp.reductions)
-      if (!rd_str(in, r.op) || !rd_str(in, r.var)) return std::nullopt;
-    snap.marks.push_back(std::move(m));
-  }
-  if (!(in >> tag >> snap.par.parallelized >> snap.par.dep_tests >>
-        snap.par.dep_tests_unique) ||
-      tag != "par")
+  if (!tlv::decode(bytes, kSnapshotMagic, kUnitCacheFormatVersion, snap,
+                   nullptr))
     return std::nullopt;
-  size_t nloops = 0;
-  if (!(in >> tag >> nloops) || tag != "loops") return std::nullopt;
-  for (size_t i = 0; i < nloops; ++i) {
-    par::LoopVerdict v;
-    int parallel = 0;
-    size_t nblockers = 0;
-    if (!(in >> tag >> v.origin_id >> parallel >> nblockers) || tag != "loop")
-      return std::nullopt;
-    v.parallel = parallel != 0;
-    if (!rd_str(in, v.unit) || !rd_str(in, v.do_var) || !rd_str(in, v.reason))
-      return std::nullopt;
-    for (size_t b = 0; b < nblockers; ++b) {
-      par::Blocker bl;
-      int kind = 0;
-      if (!(in >> tag >> kind) || tag != "blocker") return std::nullopt;
-      bl.kind = static_cast<par::Blocker::Kind>(kind);
-      if (!rd_str(in, bl.subject) || !rd_str(in, bl.detail))
-        return std::nullopt;
-      v.blockers.push_back(std::move(bl));
-    }
-    snap.par.loops.push_back(std::move(v));
-  }
   return snap;
 }
 

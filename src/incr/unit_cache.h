@@ -22,8 +22,9 @@
 //   (recompute — the caller's job.)
 //
 // serialize_snapshot/deserialize_snapshot run only at the disk and peer
-// edges, and the bytes there are the "APUNIT" format below; a payload
-// that does not decode is a miss.
+// edges, and the bytes there are the snapshot record below (the
+// UnitSnapshot field list behind a magic byte and the format version); a
+// payload that does not decode is a miss.
 //
 // Entries are only ever superseded — a changed input changes the key — so
 // there is no staleness.
@@ -63,7 +64,7 @@ class DiskBudget;
 
 namespace ap::incr {
 
-inline constexpr uint32_t kUnitCacheFormatVersion = 2;
+inline constexpr uint32_t kUnitCacheFormatVersion = 3;
 
 // ---------------------------------------------------------------------------
 // The parallelize boundary's payload: OMP marks by pre-order DO index plus
@@ -88,6 +89,20 @@ struct UnitSnapshot : pm::Artifact {
   par::ParallelizeResult par;    // this unit's verdicts + counters
 };
 
+// The serialized fields (support/tlv.h).
+template <class V>
+void fields(V& v, OmpMark& m) {
+  v.field(1, "do_index", m.do_index);
+  v.field(2, "omp", m.omp);
+}
+template <class V>
+void fields(V& v, UnitSnapshot& s) {
+  v.field(1, "do_count", s.do_count);
+  v.field(2, "marks", s.marks);
+  v.field(3, "origin_ids", s.origin_ids);
+  v.field(4, "par", s.par);
+}
+
 // The OMP marks currently on `unit` (non-default OmpInfo only), with
 // do_count and the pre-order origin_id list filled in.
 UnitSnapshot snapshot_unit(const fir::ProgramUnit& unit,
@@ -104,9 +119,12 @@ std::optional<par::ParallelizeResult> apply_snapshot(fir::ProgramUnit& unit,
 
 using SnapshotPtr = std::shared_ptr<const UnitSnapshot>;
 
-// The disk and wire bytes of a snapshot (exposed for tests).
+// The disk and wire bytes of a snapshot: the magic byte, the varint
+// kUnitCacheFormatVersion, then the UnitSnapshot fields. Bytes that do not
+// decode (wrong magic or version, a torn or hostile record) are nullopt.
+inline constexpr unsigned char kSnapshotMagic = 0xB6;
 std::string serialize_snapshot(const UnitSnapshot& snap);
-std::optional<UnitSnapshot> deserialize_snapshot(std::string_view text);
+std::optional<UnitSnapshot> deserialize_snapshot(std::string_view bytes);
 
 // ---------------------------------------------------------------------------
 // The store

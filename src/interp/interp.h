@@ -46,6 +46,16 @@ struct InterpOptions {
   Engine engine = Engine::Bytecode;
 };
 
+// The serialized fields (support/tlv.h).
+template <class V>
+void fields(V& v, InterpOptions& o) {
+  v.field(1, "engine", o.engine, Engine::Bytecode);
+  v.field(2, "threads", o.num_threads);
+  v.field(3, "enable_parallel", o.enable_parallel);
+  v.field(4, "max_steps", o.max_steps);
+  v.field(5, "check_bounds", o.check_bounds);
+}
+
 struct RunResult {
   bool ok = false;
   bool stopped = false;        // program executed STOP

@@ -1,34 +1,30 @@
 // The binary TLV codec: the only wire encoding of protocol.h's messages.
 //
-// Every request and response type travels as a compact tag-value stream.
-// The first payload byte is the magic 0xB4, so a payload that is not a
-// binary message (a stray JSON document, say) is rejected before any
-// field is read.
-//
 // Layout of one payload:
 //
 //   +------+------+----------------------------+
 //   | 0xB4 | kind | fields ... | 0x00 end tag  |
 //   +------+------+----------------------------+
 //
-// `kind` is 0x01 for requests, 0x02 for responses. Each field is one tag
-// byte followed by a value whose wire form is fixed by the tag:
-// unsigned LEB128 varints for counters and enums, zigzag varints for
-// signed integers, length-prefixed bytes for strings, 8 little-endian
-// bytes for doubles, a single byte for bools, and end-tag-terminated
-// sub-streams (same tag-value form, closed by 0x00 — no length prefix,
-// so encoding is single-pass) for nested messages. Unknown tags cannot
-// be skipped (the type is not self-describing), so they are decode
-// errors; both ends speak kProtocolVersion, so they never occur between
-// matching peers.
+// The magic 0xB4 rejects a payload that is not a binary message (a stray
+// JSON document, say) before any field is read; `kind` is 0x01 for
+// requests, 0x02 for responses. The fields are the Request or Response
+// field list of protocol.h, in the tag-value forms of support/tlv.h
+// (varints, zigzag varints, length-prefixed bytes, 8-byte doubles, one
+// byte bools and enums, end-tag-terminated submessages). Both ends speak
+// kProtocolVersion, so an unknown tag is a decode error.
 //
-// The equivalence contract, held by tests/net_test.cpp: for every
-// message m, json(decode_binary(encode_binary(m))) is byte-identical to
-// json(m), where json is the protocol.h rendering.
+// The equivalence contract, held by tests/net_test.cpp: for every message
+// m, tlv::to_json(decode(encode(m))) is byte-identical to tlv::to_json(m).
+// Both sides walk the same field list, so it holds by construction unless
+// a field's value form loses information.
 //
 // Decoders never throw and never read out of bounds; any truncated,
 // oversized, or malformed stream returns false with *err set, which the
-// server maps to `protocol_error`.
+// server maps to `protocol_error`. After the field decode, the request
+// decoder applies the checks a field list cannot state: a forward wraps
+// only compile or run, fleet identities are non-empty, cache and unit
+// keys are hex, and an interpreter thread count below 1 becomes 1.
 #pragma once
 
 #include <string>

@@ -63,16 +63,18 @@
 //                         request; the server closes the connection after
 //                         sending it (the stream cannot be resynchronized)
 //
-// Options encodings are total: every PipelineOptions and InterpOptions
-// field is carried, so a compile over the wire is bit-equivalent to an
-// in-process run with the same options (tests/net_e2e_test.cpp holds
-// this as an invariant; tests/dist_e2e_test.cpp extends it across a
-// coordinator hop).
+// Every message and every record inside one declares its fields once, in
+// a `fields` list beside its struct (support/tlv.h). The binary codec,
+// the JSON rendering (tlv::to_json: the readable form, and the reference
+// the codec's round-trip tests compare against) and the cache keys are
+// all derived from those lists, so they cannot drift apart. Only the
+// schemaless metrics and trace payloads ride inside frames as JSON text.
 //
-// request_to_json/response_to_json render a message as JSON: its
-// human-readable form, and the reference the binary codec's round-trip
-// tests compare against. They are not a wire format: only the schemaless
-// metrics and trace payloads ride inside binary frames as JSON text.
+// Options encodings are total: every PipelineOptions and InterpOptions
+// field that can change a result is carried, so a compile over the wire
+// is bit-equivalent to an in-process run with the same options
+// (tests/net_e2e_test.cpp holds this as an invariant;
+// tests/dist_e2e_test.cpp extends it across a coordinator hop).
 #pragma once
 
 #include <cstdint>
@@ -132,6 +134,13 @@ struct WorkerInfo {
   int port = 0;      // wire-protocol port
 };
 
+template <class V>
+void fields(V& v, WorkerInfo& w) {
+  v.field(1, "id", w.id);
+  v.field(2, "host", w.host);
+  v.field(3, "port", w.port);
+}
+
 // A worker's load + cache counters, piggybacked on heartbeats so the
 // coordinator's telemetry has a per-worker section without extra RPCs.
 struct WorkerLoad {
@@ -147,12 +156,30 @@ struct WorkerLoad {
   std::string hist;
 };
 
+template <class V>
+void fields(V& v, WorkerLoad& l) {
+  v.field(1, "queue_depth", l.queue_depth);
+  v.field(2, "running", l.running);
+  v.field(3, "cache_entries", l.cache_entries);
+  v.field(4, "cache_hits", l.cache_hits);
+  v.field(5, "cache_misses", l.cache_misses);
+  v.field(6, "peer_hits", l.peer_hits);
+  if (v.when(!l.hist.empty())) v.field(7, "hist", l.hist);
+}
+
 // Hello response payload: what the server speaks and what it is.
 struct HelloInfo {
   int version = kProtocolVersion;
   std::string role = "single";  // "single" | "coordinator" | "worker"
   bool draining = false;
 };
+
+template <class V>
+void fields(V& v, HelloInfo& h) {
+  v.field(1, "version", h.version);
+  v.field(2, "role", h.role);
+  v.field(3, "draining", h.draining);
+}
 
 struct Request {
   RequestType type = RequestType::Ping;
@@ -205,6 +232,20 @@ struct RunPayload {
   double wall_ms = 0;
 };
 
+template <class V>
+void fields(V& v, RunPayload& p) {
+  v.field(1, "ok", p.ok);
+  v.field(2, "stopped", p.stopped);
+  if (v.when(!p.stop_message.empty()))
+    v.field(3, "stop_message", p.stop_message);
+  if (v.when(!p.error.empty())) v.field(4, "error", p.error);
+  v.field(5, "output", p.output);
+  v.field(6, "statements", p.statements);
+  v.field(7, "statements_parallel", p.statements_parallel);
+  v.field(8, "instructions", p.instructions);
+  v.field(9, "wall_ms", p.wall_ms);
+}
+
 struct Response {
   int64_t id = 0;
   Status status = Status::Ok;
@@ -233,14 +274,68 @@ struct Response {
   std::vector<WorkerInfo> peers;  // register/heartbeat: routable peers
 };
 
-// Payload shape shared by the codec and the renderer: compile and run
-// requests (and forwards of them) carry source, annotations, options and
-// deadline; run requests (and forwards of them) also carry InterpOptions.
-bool carries_compile_payload(const Request& r);
-bool carries_interp_options(const Request& r);
+// Payload shape: compile and run requests (and forwards of them) carry
+// source, annotations, options and deadline; run requests (and forwards
+// of them) also carry InterpOptions.
+inline bool carries_compile_payload(const Request& r) {
+  RequestType t = r.type == RequestType::Forward ? r.inner : r.type;
+  return t == RequestType::Compile || t == RequestType::Run;
+}
+inline bool carries_interp_options(const Request& r) {
+  return (r.type == RequestType::Forward ? r.inner : r.type) ==
+         RequestType::Run;
+}
 
-// JSON renderings (every field). Not a wire format: see the file comment.
-json::Value request_to_json(const Request& r);
-json::Value response_to_json(const Response& r);
+// The message field lists. Tag numbers and value forms are the wire
+// format: never renumber a field or change its type.
+template <class V>
+void fields(V& v, Request& r) {
+  using T = RequestType;
+  v.field(1, "type", r.type, T::UnitFill);
+  v.field(2, "id", r.id);
+  v.field(3, "v", r.version);
+  if (v.when(carries_compile_payload(r))) {
+    if (v.when(!r.name.empty())) v.field(4, "name", r.name);
+    v.field(5, "source", r.source);
+    if (v.when(!r.annotations.empty()))
+      v.field(6, "annotations", r.annotations);
+    v.field(7, "options", r.options);
+    if (v.when(r.deadline_ms > 0)) v.field(9, "deadline_ms", r.deadline_ms);
+  }
+  if (v.when(carries_interp_options(r))) v.field(8, "interp", r.interp);
+  if (v.when(r.type == T::Register || r.type == T::Heartbeat))
+    v.field(10, "worker", r.worker);
+  if (v.when(r.type == T::Heartbeat)) {
+    v.field(11, "load", r.load);
+    if (v.when(r.leaving)) v.field(12, "leaving", r.leaving);
+  }
+  if (v.when(r.type == T::CacheProbe || r.type == T::CacheFill ||
+             r.type == T::UnitProbe || r.type == T::UnitFill))
+    v.field(13, "key", r.key);
+  if (v.when(r.type == T::CacheFill || r.type == T::UnitFill))
+    v.field(14, "payload", r.payload);
+  if (v.when(r.type == T::UnitFill)) v.field(20, "boundary", r.boundary);
+  if (v.when(r.type == T::Forward)) {
+    v.field(15, "inner", r.inner, T::UnitFill);
+    v.field(16, "attempt", r.attempt);
+  }
+  if (v.when(r.trace)) v.field(18, "trace", r.trace);
+  if (v.when(r.trace_id != 0)) v.field(19, "trace_id", r.trace_id);
+}
+
+template <class V>
+void fields(V& v, Response& r) {
+  v.field(1, "id", r.id);
+  v.field(2, "status", r.status, Status::ProtocolError);
+  if (v.when(!r.error.empty())) v.field(3, "error", r.error);
+  v.optional(4, "result", r.has_result, r.result);
+  v.optional(5, "run", r.has_run, r.run);
+  if (v.when(r.metrics.is_object())) v.field(6, "metrics", r.metrics);
+  if (v.when(r.trace.is_object())) v.field(12, "trace", r.trace);
+  v.optional(7, "hello", r.has_hello, r.hello);
+  if (v.when(r.found)) v.field(8, "found", r.found);
+  if (v.when(!r.payload.empty())) v.field(9, "payload", r.payload);
+  v.optional(10, "peers", r.has_peers, r.peers);
+}
 
 }  // namespace ap::net

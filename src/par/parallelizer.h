@@ -92,6 +92,30 @@ struct ParallelizeResult {
   bool is_parallel(int64_t origin_id) const;
 };
 
+// The serialized fields (support/tlv.h).
+template <class V>
+void fields(V& v, Blocker& b) {
+  v.field(1, "kind", b.kind, Blocker::Kind::ArrayDependence);
+  v.field(2, "subject", b.subject);
+  v.field(3, "detail", b.detail);
+}
+template <class V>
+void fields(V& v, LoopVerdict& l) {
+  v.field(1, "origin_id", l.origin_id);
+  v.field(2, "unit", l.unit);
+  v.field(3, "do_var", l.do_var);
+  v.field(4, "parallel", l.parallel);
+  v.field(5, "reason", l.reason);
+  v.field(6, "blockers", l.blockers);
+}
+template <class V>
+void fields(V& v, ParallelizeResult& r) {
+  v.field(1, "loops", r.loops);
+  v.field(2, "parallelized", r.parallelized);
+  v.field(3, "dep_tests", r.dep_tests);
+  v.field(4, "dep_tests_unique", r.dep_tests_unique);
+}
+
 ParallelizeResult parallelize(fir::Program& prog,
                               const ParallelizeOptions& opts,
                               DiagnosticEngine& diags);

@@ -101,6 +101,23 @@ struct PassRecord {
   int unit_invalidated = 0;  // misses caused by a changed dependency
 };
 
+// The serialized fields (support/tlv.h). The artifact counters travel only
+// for a pass that snapshotted.
+template <class V>
+void fields(V& v, PassRecord& p) {
+  v.field(1, "name", p.name);
+  v.field(2, "wall_ms", p.wall_ms);
+  v.field(3, "units", p.units);
+  v.field(4, "diags", p.diagnostics);
+  if (v.when(p.unit_hits + p.unit_misses > 0)) {
+    v.field(5, "unit_hits", p.unit_hits);
+    v.field(6, "unit_misses", p.unit_misses);
+    v.field(7, "unit_disk_hits", p.unit_disk_hits);
+    v.field(8, "unit_peer_hits", p.unit_peer_hits);
+    v.field(9, "unit_invalidated", p.unit_invalidated);
+  }
+}
+
 // Mutable state threaded through the sequence. The program starts null; a
 // parse-like first pass populates it.
 struct PassState {

@@ -6,11 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <vector>
 
 #include "fir/unparse.h"
 #include "support/disk_budget.h"
 #include "support/fnv.h"
+#include "support/tlv.h"
 
 namespace ap::service {
 
@@ -48,30 +48,8 @@ CompileResult to_compile_result(const driver::PipelineResult& r) {
   return out;
 }
 
-std::string options_fingerprint(const driver::PipelineOptions& o) {
-  std::ostringstream s;
-  s << "v" << kCacheFormatVersion << ";cfg=" << static_cast<int>(o.config)
-    << ";par=" << o.par.min_trip << ',' << o.par.normalize << ','
-    << o.par.mark_nested << ',' << o.par.use_banerjee << ','
-    << o.par.use_siv_refinement << ',' << o.par.collect_all_blockers
-    << ";conv=" << o.conv.max_stmts << ',' << o.conv.max_callee_calls << ','
-    << o.conv.require_in_loop << ',' << o.conv.eliminate_dead_units << ','
-    << o.conv.max_passes << ";annot=" << o.annot.require_in_loop
-    << ";rev=" << o.reverse.tolerate_reordering << ','
-    << o.reverse.tolerate_forward_subst << ',' << o.reverse.tolerate_literals
-    << ',' << o.reverse.fallback_to_hints
-    // stop_after/print_after change the produced result; the execution
-    // knobs (unit_threads/unit_pool/verify) do not and stay out of the key.
-    << ";stop=" << o.stop_after << ";print=" << o.print_after;
-  return s.str();
-}
-
 uint64_t cache_key(std::string_view source, std::string_view annotations,
                    const driver::PipelineOptions& o) {
-  // Same information as options_fingerprint() (which stays the canonical
-  // printable form for telemetry and tests), hashed field by field via the
-  // shared driver::hash_pipeline_options folding — byte-identical to the
-  // historical inline sequence, so existing disk tiers stay valid.
   uint64_t h = kFnvOffset;
   h = fnv_u64(h, kCacheFormatVersion);
   h = driver::hash_pipeline_options(h, o);
@@ -82,84 +60,15 @@ uint64_t cache_key(std::string_view source, std::string_view annotations,
 }
 
 std::string serialize_result(const CompileResult& r) {
-  std::ostringstream s;
-  s << "APCACHE " << kCacheFormatVersion << "\n";
-  s << "ok " << (r.ok ? 1 : 0) << "\n";
-  s << "stopped_early " << (r.stopped_early ? 1 : 0) << "\n";
-  s << "code_lines " << r.code_lines << "\n";
-  s << "dep_tests " << r.dep_tests << "\n";
-  s << "dep_tests_unique " << r.dep_tests_unique << "\n";
-  char t[160];
-  std::snprintf(t, sizeof(t), "total_ms %.6f\n", r.timings.total_ms);
-  s << t;
-  s << "passes " << r.timings.passes.size() << "\n";
-  for (const auto& p : r.timings.passes) {
-    std::snprintf(t, sizeof(t), "pass %s %.6f %d %d %d %d %d %d %d\n",
-                  p.name.c_str(), p.wall_ms, p.units, p.diagnostics,
-                  p.unit_hits, p.unit_misses, p.unit_disk_hits,
-                  p.unit_peer_hits, p.unit_invalidated);
-    s << t;
-  }
-  s << "print_dump " << r.print_dump.size() << "\n";
-  s << r.print_dump << "\n";
-  s << "parallel_loops " << r.parallel_loops.size();
-  for (int64_t id : r.parallel_loops) s << ' ' << id;
-  s << "\n";
-  s << "program " << r.program_text.size() << "\n";
-  s << r.program_text;
-  return s.str();
+  std::string out;
+  tlv::encode(kCacheRecordMagic, kCacheFormatVersion, r, &out);
+  return out;
 }
 
-std::optional<CompileResult> deserialize_result(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string tag;
-  uint32_t version = 0;
-  if (!(in >> tag >> version) || tag != "APCACHE" ||
-      version != kCacheFormatVersion)
-    return std::nullopt;
-
+std::optional<CompileResult> deserialize_result(std::string_view bytes) {
   CompileResult r;
-  int ok = 0;
-  size_t nloops = 0, nbytes = 0;
-  if (!(in >> tag >> ok) || tag != "ok") return std::nullopt;
-  r.ok = ok != 0;
-  int stopped = 0;
-  if (!(in >> tag >> stopped) || tag != "stopped_early") return std::nullopt;
-  r.stopped_early = stopped != 0;
-  if (!(in >> tag >> r.code_lines) || tag != "code_lines") return std::nullopt;
-  if (!(in >> tag >> r.dep_tests) || tag != "dep_tests") return std::nullopt;
-  if (!(in >> tag >> r.dep_tests_unique) || tag != "dep_tests_unique")
+  if (!tlv::decode(bytes, kCacheRecordMagic, kCacheFormatVersion, r, nullptr))
     return std::nullopt;
-  if (!(in >> tag >> r.timings.total_ms) || tag != "total_ms")
-    return std::nullopt;
-  size_t npasses = 0;
-  if (!(in >> tag >> npasses) || tag != "passes") return std::nullopt;
-  for (size_t i = 0; i < npasses; ++i) {
-    pm::PassRecord p;
-    if (!(in >> tag >> p.name >> p.wall_ms >> p.units >> p.diagnostics >>
-          p.unit_hits >> p.unit_misses >> p.unit_disk_hits >>
-          p.unit_peer_hits >> p.unit_invalidated) ||
-        tag != "pass")
-      return std::nullopt;
-    r.timings.passes.push_back(std::move(p));
-  }
-  size_t ndump = 0;
-  if (!(in >> tag >> ndump) || tag != "print_dump") return std::nullopt;
-  in.get();  // the newline terminating the print_dump header
-  r.print_dump.resize(ndump);
-  in.read(r.print_dump.data(), static_cast<std::streamsize>(ndump));
-  if (in.gcount() != static_cast<std::streamsize>(ndump)) return std::nullopt;
-  if (!(in >> tag >> nloops) || tag != "parallel_loops") return std::nullopt;
-  for (size_t i = 0; i < nloops; ++i) {
-    int64_t id;
-    if (!(in >> id)) return std::nullopt;
-    r.parallel_loops.insert(id);
-  }
-  if (!(in >> tag >> nbytes) || tag != "program") return std::nullopt;
-  in.get();  // the newline terminating the program header
-  r.program_text.resize(nbytes);
-  in.read(r.program_text.data(), static_cast<std::streamsize>(nbytes));
-  if (in.gcount() != static_cast<std::streamsize>(nbytes)) return std::nullopt;
   return r;
 }
 
@@ -223,15 +132,19 @@ std::optional<CompileResult> ResultCache::find_memory(uint64_t key) {
 
 void ResultCache::store(uint64_t key, const CompileResult& r) {
   if (!r.ok) return;
+  CompileResult entry = r;
+  entry.cache_hit = entry.peer_hit = false;
+  entry.unit_hits = entry.unit_misses = entry.unit_invalidated = 0;
+  entry.unit_disk_hits = entry.unit_peer_hits = 0;
   std::lock_guard<std::mutex> lock(mu_);
-  insert_memory_locked(key, r);
+  insert_memory_locked(key, entry);
   ++stats_.stores;
   if (!disk_dir_.empty()) {
     const std::string path = disk_path(key);
     std::error_code ec;
     uint64_t old_size = std::filesystem::file_size(path, ec);
     if (ec) old_size = 0;
-    std::string payload = serialize_result(r);
+    std::string payload = serialize_result(entry);
     // Atomic publish: write a temp file, then rename over the final name.
     // A reader in another process sharing the cache dir (fleet workers, a
     // concurrently evicting instance) either sees the complete old entry

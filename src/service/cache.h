@@ -2,8 +2,8 @@
 //
 // The cache key is a 64-bit FNV-1a hash over everything that can change a
 // compilation's outcome: the unparsed source text, the annotation text,
-// a canonical fingerprint of every PipelineOptions field, and a format
-// version constant. Any edit to source, annotations, or configuration
+// the PipelineOptions field list (driver::hash_pipeline_options), and a
+// format version constant. Any edit to source, annotations, or configuration
 // therefore produces a different key — invalidation is purely structural,
 // there is nothing to expire (the dist-clang model).
 //
@@ -11,12 +11,13 @@
 //   memory — LRU over deserialized CompileResult values, bounded by entry
 //            count; hit cost is a map lookup plus a list splice.
 //   disk   — optional, under `disk_dir`: one `<hex-key>.apc` file per
-//            entry, written on store and promoted into the memory tier on
-//            hit. Survives process restarts (warm service restarts, CI
-//            reruns). Entries are only superseded, never stale; an
-//            optional byte budget (`disk_max_bytes`, default unlimited)
-//            evicts oldest-mtime files on store so a long-lived daemon
-//            cannot grow the tier without bound.
+//            entry (the serialize_result record below), written on store
+//            and promoted into the memory tier on hit. Survives process
+//            restarts (warm service restarts, CI reruns). Entries are only
+//            superseded, never stale; an optional byte budget
+//            (`disk_max_bytes`, default unlimited) evicts oldest-mtime
+//            files on store so a long-lived daemon cannot grow the tier
+//            without bound.
 //
 // Only successful compilations are cached; failures re-run so their
 // diagnostics stay fresh.
@@ -45,8 +46,8 @@ namespace ap::service {
 struct CompileResult {
   bool ok = false;
   std::string error;
-  bool cache_hit = false;  // set by the scheduler, not serialized
-  bool peer_hit = false;   // miss served by the peer tier; not serialized
+  bool cache_hit = false;  // set by the scheduler
+  bool peer_hit = false;   // miss served by the peer tier
   std::set<int64_t> parallel_loops;
   size_t code_lines = 0;
   size_t dep_tests = 0;         // logical pairwise tests
@@ -57,9 +58,9 @@ struct CompileResult {
   bool stopped_early = false;       // --stop-after cut the sequence short
 
   // Unit-tier outcome of the compiling run (src/incr): per-request, like
-  // cache_hit, so not serialized — a whole-request hit did no unit work
-  // and reports zeros. Reported for the parallelize boundary, as in
-  // timings.passes[*].unit_*.
+  // cache_hit and peer_hit, so ResultCache::store clears them and a
+  // whole-request hit reports zeros. Reported for the parallelize
+  // boundary, as in timings.passes[*].unit_*.
   size_t unit_hits = 0;
   size_t unit_misses = 0;
   size_t unit_invalidated = 0;   // misses caused by a changed dependency
@@ -67,25 +68,48 @@ struct CompileResult {
   size_t unit_peer_hits = 0;     // hits served by a fleet peer
 };
 
+// The serialized fields (support/tlv.h): the wire's result payload, the
+// disk tier and the cache_probe/cache_fill payloads.
+template <class V>
+void fields(V& v, CompileResult& c) {
+  v.field(1, "ok", c.ok);
+  if (v.when(!c.error.empty())) v.field(2, "error", c.error);
+  v.field(3, "cache_hit", c.cache_hit);
+  v.field(4, "parallel_loops", c.parallel_loops);
+  v.field(5, "code_lines", c.code_lines);
+  v.field(6, "dep_tests", c.dep_tests);
+  v.field(7, "dep_tests_unique", c.dep_tests_unique);
+  v.field(8, "total_ms", c.timings.total_ms);
+  v.field(9, "passes", c.timings.passes);
+  v.field(10, "stopped_early", c.stopped_early);
+  v.field(11, "program", c.program_text);
+  if (v.when(!c.print_dump.empty())) v.field(12, "print_dump", c.print_dump);
+  v.field(13, "peer_hit", c.peer_hit);
+  v.field(14, "unit_hits", c.unit_hits);
+  v.field(15, "unit_misses", c.unit_misses);
+  v.field(16, "unit_invalidated", c.unit_invalidated);
+  v.field(17, "unit_disk_hits", c.unit_disk_hits);
+  v.field(18, "unit_peer_hits", c.unit_peer_hits);
+}
+
 // Build a CompileResult from a finished pipeline run (unparses the final
 // program when present).
 CompileResult to_compile_result(const driver::PipelineResult& r);
 
 // Content hash of (source, annotations, options). Stable across runs and
-// platforms; bump kCacheFormatVersion when CompileResult serialization or
-// pipeline semantics change.
-inline constexpr uint32_t kCacheFormatVersion = 4;
+// platforms; bump kCacheFormatVersion when the CompileResult or
+// PipelineOptions field lists or pipeline semantics change.
+inline constexpr uint32_t kCacheFormatVersion = 5;
 
 uint64_t cache_key(std::string_view source, std::string_view annotations,
                    const driver::PipelineOptions& opts);
 
-// Canonical one-line fingerprint of every PipelineOptions field (part of
-// the key; exposed for tests and telemetry).
-std::string options_fingerprint(const driver::PipelineOptions& opts);
-
-// Serialization for the disk tier (exposed for tests).
+// The disk-tier and peer-payload record: the magic byte, the varint
+// kCacheFormatVersion, then the CompileResult fields. Bytes that do not
+// decode (wrong magic or version, a torn or hostile record) are nullopt.
+inline constexpr unsigned char kCacheRecordMagic = 0xB5;
 std::string serialize_result(const CompileResult& r);
-std::optional<CompileResult> deserialize_result(std::string_view text);
+std::optional<CompileResult> deserialize_result(std::string_view bytes);
 
 struct CacheStats {
   uint64_t memory_hits = 0;
@@ -132,7 +156,8 @@ class ResultCache {
 
   // Thread-safe. Stores under `key`, evicting the least-recently-used
   // memory entry at capacity; mirrors to disk when enabled. Failed
-  // results (!r.ok) are ignored.
+  // results (!r.ok) are ignored; the per-request outcome (cache_hit,
+  // peer_hit, unit_*) is cleared before storing.
   void store(uint64_t key, const CompileResult& r);
 
   CacheStats stats() const;

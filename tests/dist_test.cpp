@@ -24,6 +24,7 @@
 #include "net/client.h"
 #include "service/cache.h"
 #include "suite/suite.h"
+#include "support/tlv.h"
 
 namespace ap {
 namespace {
@@ -508,8 +509,8 @@ TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
   std::string err;
   ASSERT_TRUE(worker.start(&err)) << err;
 
-  // Serialized snapshots: the wire carries the "APUNIT" disk bytes, and
-  // strings may hold any byte.
+  // Serialized snapshots: the wire carries the disk tier's snapshot
+  // record, and strings may hold any byte.
   auto snapshot_bytes = [](const std::string& reason) {
     incr::UnitSnapshot snap;
     snap.par.loops.emplace_back();
@@ -572,6 +573,100 @@ TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
   ASSERT_TRUE(client.call(std::move(nobound), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Error);
   EXPECT_NE(resp.error.find("boundary"), std::string::npos);
+
+  worker.begin_drain();
+  worker.wait();
+}
+
+// Peer payloads are outside input, decoded on the worker's loop thread. A
+// cache_fill or unit_fill record that declares lengths far past its own
+// size draws a structured error before anything is allocated, and the
+// worker keeps answering.
+TEST(DistFleet, HostileFillPayloadsDrawErrorsAndTheWorkerSurvives) {
+  service::ResultCache cache(64);
+  incr::UnitCache units(64);
+  dist::WorkerOptions wo;
+  wo.id = "solo";
+  wo.threads = 1;
+  wo.cache = &cache;
+  wo.unit_cache = &units;
+  dist::Worker worker(wo);
+  std::string err;
+  ASSERT_TRUE(worker.start(&err)) << err;
+  net::Client client;
+  ASSERT_TRUE(client.connect(worker.port(), &err, 120'000)) << err;
+
+  // A record header, then `body` writes the hostile fields.
+  auto record = [](unsigned char magic, uint64_t version, auto body) {
+    std::string out;
+    tlv::Writer w(&out);
+    w.u8(magic);
+    w.varint(version);
+    body(w);
+    return out;
+  };
+  const uint64_t huge = 100'000'000'000'000'000ull;  // 1e17
+  auto result = [&](unsigned char tag) {
+    return record(service::kCacheRecordMagic, service::kCacheFormatVersion,
+                  [&](tlv::Writer& w) {
+                    w.u8(tag);
+                    w.varint(huge);
+                  });
+  };
+  auto snapshot = [&](auto body) {
+    return record(incr::kSnapshotMagic, incr::kUnitCacheFormatVersion, body);
+  };
+  struct Fill {
+    const char* what;
+    net::RequestType type;
+    std::string payload;
+  };
+  const Fill fills[] = {
+      {"program length", net::RequestType::CacheFill, result(11)},
+      {"print_dump length", net::RequestType::CacheFill, result(12)},
+      {"parallel_loops count", net::RequestType::CacheFill, result(4)},
+      {"origin_ids count", net::RequestType::UnitFill,
+       snapshot([&](tlv::Writer& w) {
+         w.u8(3);
+         w.varint(huge);
+       })},
+      {"privates count", net::RequestType::UnitFill,
+       snapshot([&](tlv::Writer& w) {
+         w.u8(2);  // marks: one OmpMark
+         w.varint(1);
+         w.u8(2);  // its OmpInfo
+         w.u8(2);  // privates
+         w.varint(huge);
+       })},
+      {"reductions count", net::RequestType::UnitFill,
+       snapshot([&](tlv::Writer& w) {
+         w.u8(2);
+         w.varint(1);
+         w.u8(2);
+         w.u8(4);  // reductions
+         w.varint(huge);
+       })},
+  };
+  uint64_t key = 0xbad0;
+  for (const Fill& f : fills) {
+    net::Request fill;
+    fill.type = f.type;
+    fill.key = net::format_key(++key);
+    fill.boundary = "parallelize";
+    fill.payload = f.payload;
+    net::Response resp;
+    ASSERT_TRUE(client.call(std::move(fill), &resp, &err)) << f.what << err;
+    EXPECT_EQ(resp.status, net::Status::Error) << f.what;
+    EXPECT_NE(resp.error.find("undecodable"), std::string::npos)
+        << f.what << ": " << resp.error;
+    EXPECT_FALSE(units.peek(key).has_value()) << f.what;
+
+    net::Request ping;
+    ping.type = net::RequestType::Ping;
+    ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << f.what << err;
+    EXPECT_EQ(resp.status, net::Status::Ok) << f.what;
+  }
+  EXPECT_EQ(cache.stats().stores, 0u);
 
   worker.begin_drain();
   worker.wait();

@@ -856,12 +856,26 @@ TEST(Snapshot, SerializeRoundTripPreservesEverything) {
 TEST(Snapshot, DeserializeRejectsGarbageAndWrongVersion) {
   EXPECT_FALSE(incr::deserialize_snapshot("").has_value());
   EXPECT_FALSE(incr::deserialize_snapshot("not a snapshot").has_value());
-  std::string text = serialize_snapshot(sample_snapshot());
-  std::string wrong = text;
-  size_t at = wrong.find("APUNIT 2");
-  ASSERT_NE(at, std::string::npos);
-  wrong.replace(at, 8, "APUNIT 999");
+  std::string bytes = serialize_snapshot(sample_snapshot());
+  ASSERT_TRUE(incr::deserialize_snapshot(bytes).has_value());
+  ASSERT_EQ(bytes[0], static_cast<char>(incr::kSnapshotMagic));
+  ASSERT_EQ(bytes[1], static_cast<char>(incr::kUnitCacheFormatVersion));
+  std::string wrong = bytes;
+  wrong.replace(1, 1, "\xe7\x07");  // varint 999
   EXPECT_FALSE(incr::deserialize_snapshot(wrong).has_value());
+}
+
+// Snapshot records arrive from disk and from peers (unit_fill): the
+// seeded truncation and mutation pass over a record with every part set.
+TEST(Snapshot, TruncatedAndMutatedRecordsNeverCrashTheDecoder) {
+  std::string bytes = serialize_snapshot(sample_snapshot());
+  std::mt19937 rng(20110913);
+  test::expect_mutants_fail_cleanly(
+      bytes, rng, "snapshot", [](const std::string& m) {
+        auto back = incr::deserialize_snapshot(m);
+        if (back) (void)serialize_snapshot(*back);
+        return back.has_value();
+      });
 }
 
 TEST(Snapshot, ApplyRejectsDoShapeMismatch) {
@@ -952,7 +966,7 @@ TEST(UnitCacheStore, MemoryHitSharesTheStoredSnapshot) {
   cache.store("parallelize", 1, 11, snap);
   auto hit = cache.find("parallelize", 1, 11);
   EXPECT_EQ(hit.snapshot.get(), snap.get());
-  // The wire edge still sees the "APUNIT" bytes.
+  // The wire edge still sees the serialized snapshot record.
   ASSERT_TRUE(cache.peek(1).has_value());
   EXPECT_EQ(*cache.peek(1), serialize_snapshot(*snap));
 }
@@ -1329,9 +1343,12 @@ TEST(Incremental, CorruptDiskPayloadsFallBackToRecompute) {
     opts.unit_cache = &cache;
     ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
   }
+  // The snapshot magic under a foreign version (varint 999), then junk.
+  const std::string foreign{static_cast<char>(incr::kSnapshotMagic), '\xe7',
+                            '\x07', 'n', 'o', 't', ' ', 'a', ' ', 'p'};
   size_t corrupted = 0;
   for (const auto& e : fs::directory_iterator(dir.path)) {
-    std::ofstream(e.path(), std::ios::trunc) << "APUNIT 999 not a payload";
+    std::ofstream(e.path(), std::ios::binary | std::ios::trunc) << foreign;
     ++corrupted;
   }
   ASSERT_GT(corrupted, 0u);

@@ -12,10 +12,12 @@
 #include <filesystem>
 #include <mutex>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "incr/unit_cache.h"
 #include "net/binproto.h"
 #include "net/channel.h"
 #include "net/client.h"
@@ -23,6 +25,8 @@
 #include "obs/histogram.h"
 #include "obs/trace.h"
 #include "suite/suite.h"
+#include "support/tlv.h"
+#include "tests/test_util.h"
 
 namespace ap {
 namespace {
@@ -163,10 +167,10 @@ TEST(Protocol, RequestRoundTripPreservesEveryField) {
     EXPECT_EQ(back.source, r.source);
     EXPECT_EQ(back.annotations, r.annotations);
     EXPECT_EQ(back.deadline_ms, r.deadline_ms);
-    // Options fingerprint covers every PipelineOptions field, so equality
-    // there is equality everywhere.
-    EXPECT_EQ(service::options_fingerprint(back.options),
-              service::options_fingerprint(r.options));
+    // The cache key hashes every serialized PipelineOptions field, so
+    // equality there is equality everywhere.
+    EXPECT_EQ(service::cache_key("", "", back.options),
+              service::cache_key("", "", r.options));
     if (type != net::RequestType::Run) continue;
     EXPECT_EQ(back.interp.num_threads, 3);
     EXPECT_FALSE(back.interp.enable_parallel);
@@ -315,10 +319,19 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   EXPECT_EQ(rback.peers[1].port, 2);
 }
 
+// An opaque unit payload behind the snapshot record's magic byte and
+// version header: the codec carries it byte-exactly, never decoding it.
+std::string opaque_unit_payload(std::string_view body) {
+  std::string p{static_cast<char>(incr::kSnapshotMagic),
+                static_cast<char>(incr::kUnitCacheFormatVersion)};
+  p += body;
+  return p;
+}
+
 // Unit-artifact messages: unit_probe/unit_fill carry the same hex key
 // shape as the whole-result tier plus the boundary label, and the payload
 // stays byte-exact (it is an opaque pass snapshot).
-TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
+TEST(Protocol, UnitMessagesRoundTripByteExact) {
   net::Request probe;
   probe.type = net::RequestType::UnitProbe;
   probe.id = 21;
@@ -335,7 +348,7 @@ TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   fill.type = net::RequestType::UnitFill;
   fill.key = net::format_key(7);
   fill.boundary = "parallelize";
-  fill.payload = "APUNIT 2 opaque";
+  fill.payload = opaque_unit_payload(" opaque");
   fill.payload.push_back('\xfe');
   ASSERT_TRUE(round_trip(fill, &back, &err)) << err;
   EXPECT_EQ(back.type, net::RequestType::UnitFill);
@@ -352,8 +365,8 @@ TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   ASSERT_TRUE(round_trip(resp, &rback, &err)) << err;
   EXPECT_TRUE(rback.found);
   EXPECT_EQ(rback.payload, fill.payload);
-  EXPECT_EQ(net::response_to_json(rback).dump(),
-            net::response_to_json(resp).dump());
+  EXPECT_EQ(tlv::to_json(rback).dump(),
+            tlv::to_json(resp).dump());
 }
 
 TEST(Protocol, BinaryDecoderRejectsMissingFields) {
@@ -923,7 +936,7 @@ net::Request rich_request(net::RequestType type) {
     case net::RequestType::UnitFill:
       r.key = net::format_key(0xfeedface00c0ffeeull);
       r.boundary = "parallelize";
-      r.payload = "APUNIT 2\nopaque ";
+      r.payload = opaque_unit_payload("\nopaque ");
       r.payload.push_back('\0');  // unit payloads are byte-exact too
       r.payload += "bytes";
       break;
@@ -951,7 +964,7 @@ TEST(Binary, RequestRoundTripMatchesJsonForEveryType) {
     // The equivalence contract: the binary codec is a pure transport
     // encoding, so the JSON rendering of the round-tripped request is
     // byte-identical to the original's.
-    EXPECT_EQ(net::request_to_json(back).dump(), net::request_to_json(r).dump())
+    EXPECT_EQ(tlv::to_json(back).dump(), tlv::to_json(r).dump())
         << net::request_type_name(type);
   }
 
@@ -962,7 +975,7 @@ TEST(Binary, RequestRoundTripMatchesJsonForEveryType) {
   net::Request back;
   std::string err;
   ASSERT_TRUE(round_trip(fwd, &back, &err)) << err;
-  EXPECT_EQ(net::request_to_json(back).dump(), net::request_to_json(fwd).dump());
+  EXPECT_EQ(tlv::to_json(back).dump(), tlv::to_json(fwd).dump());
 }
 
 // One response of every shape: each status, compile + run payloads,
@@ -1047,8 +1060,8 @@ TEST(Binary, ResponseRoundTripMatchesJsonForEveryShape) {
     std::string err;
     ASSERT_TRUE(net::decode_response_binary(bin, &back, &err))
         << "shape " << i << ": " << err;
-    EXPECT_EQ(net::response_to_json(back).dump(),
-              net::response_to_json(shapes[i]).dump())
+    EXPECT_EQ(tlv::to_json(back).dump(),
+              tlv::to_json(shapes[i]).dump())
         << "shape " << i;
   }
 }
@@ -1062,64 +1075,37 @@ TEST(Binary, TruncatedAndMutatedPayloadsNeverCrashTheDecoder) {
     responses.push_back(net::encode_response_binary(r));
 
   // Decodes `bin` as a request or a response; a decoded message is
-  // rendered, so "decodable" always implies "renderable".
-  auto decode = [](const std::string& bin, bool is_request,
-                   std::string* err) {
-    if (is_request) {
-      net::Request out;
-      if (!net::decode_request_binary(bin, &out, err)) return false;
-      (void)net::request_to_json(out).dump();
-    } else {
-      net::Response out;
-      if (!net::decode_response_binary(bin, &out, err)) return false;
-      (void)net::response_to_json(out).dump();
-    }
-    return true;
-  };
-  // A hostile input must fail with a reason or decode — no crash, no
-  // exception, no out-of-bounds read.
-  auto check = [&](const std::string& bin, bool is_request,
-                   const std::string& what) {
-    std::string err;
-    if (!decode(bin, is_request, &err)) {
-      EXPECT_FALSE(err.empty()) << what << ": failed without a reason";
-    }
+  // rendered, so "decodable" always implies "renderable". A hostile input
+  // must fail with a reason or decode.
+  auto decoder = [](bool is_request, const std::string& label) {
+    return [is_request, label](const std::string& bin) {
+      std::string err;
+      bool ok;
+      if (is_request) {
+        net::Request out;
+        ok = net::decode_request_binary(bin, &out, &err);
+        if (ok) (void)tlv::to_json(out).dump();
+      } else {
+        net::Response out;
+        ok = net::decode_response_binary(bin, &out, &err);
+        if (ok) (void)tlv::to_json(out).dump();
+      }
+      if (!ok) {
+        EXPECT_FALSE(err.empty()) << label << ": no reason given";
+      }
+      return ok;
+    };
   };
 
   std::mt19937 rng(20110913);  // fixed seed: the same mutants every run
   for (bool is_request : {true, false}) {
     const auto& inputs = is_request ? requests : responses;
     for (size_t n = 0; n < inputs.size(); ++n) {
-      const std::string& bin = inputs[n];
       std::string label =
           std::string(is_request ? "request " : "response ") +
           std::to_string(n);
-
-      // Every strict prefix fails cleanly.
-      for (size_t len = 0; len < bin.size(); ++len) {
-        std::string err;
-        EXPECT_FALSE(decode(bin.substr(0, len), is_request, &err))
-            << label << ": prefix of " << len << " bytes decoded";
-        EXPECT_FALSE(err.empty()) << label << ": prefix of " << len;
-      }
-
-      // Every single-byte mutation.
-      for (size_t pos = 0; pos < bin.size(); ++pos) {
-        std::string mutated = bin;
-        mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5a);
-        check(mutated, is_request,
-              label + " byte " + std::to_string(pos) + " flipped");
-      }
-
-      // Seeded multi-byte mutations: 2–8 random bytes overwritten.
-      for (int trial = 0; trial < 64; ++trial) {
-        std::string mutated = bin;
-        int flips = 2 + static_cast<int>(rng() % 7);
-        for (int f = 0; f < flips; ++f)
-          mutated[rng() % mutated.size()] = static_cast<char>(rng() & 0xff);
-        check(mutated, is_request,
-              label + " multi-byte trial " + std::to_string(trial));
-      }
+      test::expect_mutants_fail_cleanly(inputs[n], rng, label,
+                                        decoder(is_request, label));
     }
   }
 
@@ -1129,6 +1115,89 @@ TEST(Binary, TruncatedAndMutatedPayloadsNeverCrashTheDecoder) {
   std::string err;
   EXPECT_FALSE(net::decode_response_binary(requests[0], &resp, &err));
   EXPECT_FALSE(net::decode_request_binary(responses[0], &req, &err));
+}
+
+// A condition in a field list gates encoding only: the decoder takes any
+// field of its message, in any order. An unknown tag is refused.
+TEST(Binary, DecoderAcceptsFieldsInAnyOrderAndRefusesUnknownTags) {
+  auto frame = [](auto body) {
+    std::string out;
+    tlv::Writer w(&out);
+    w.u8(0xB4);
+    w.u8(0x01);  // request kind
+    body(w);
+    return out;
+  };
+  std::string ping = frame([](tlv::Writer& w) {
+    w.u8(4);  // name: not a ping field, and ahead of the type
+    w.str("late");
+    w.u8(2);  // id
+    w.svarint(5);
+    w.u8(1);  // type
+    w.u8(static_cast<unsigned char>(net::RequestType::Ping));
+    w.u8(tlv::kEnd);
+  });
+  net::Request back;
+  std::string err;
+  ASSERT_TRUE(net::decode_request_binary(ping, &back, &err)) << err;
+  EXPECT_EQ(back.type, net::RequestType::Ping);
+  EXPECT_EQ(back.id, 5);
+  EXPECT_EQ(back.name, "late");
+
+  std::string unknown = frame([](tlv::Writer& w) {
+    w.u8(17);  // no request field has tag 17
+    w.u8(1);
+    w.u8(tlv::kEnd);
+  });
+  EXPECT_FALSE(net::decode_request_binary(unknown, &back, &err));
+  EXPECT_NE(err.find("unknown tag"), std::string::npos) << err;
+}
+
+// Every field list names each tag and each rendered key once: a repeated
+// tag would hide the second field from the decoder, a repeated key from
+// the rendering.
+struct TagAudit {
+  std::set<int> tags;
+  std::set<std::string> names;
+  bool repeated = false;
+  bool when(bool) const { return true; }
+  template <class T>
+  void field(unsigned char tag, const char* name, T&) {
+    note(tag, name);
+  }
+  template <class E>
+  void field(unsigned char tag, const char* name, E&, E) {
+    note(tag, name);
+  }
+  template <class T>
+  void optional(unsigned char tag, const char* name, bool&, T&) {
+    note(tag, name);
+  }
+  void note(unsigned char tag, const char* name) {
+    EXPECT_NE(tag, tlv::kEnd) << name;
+    repeated |= !tags.insert(tag).second || !names.insert(name).second;
+  }
+};
+
+template <class... Records>
+void expect_unique_tags() {
+  auto audit = [](auto rec, const char* what) {
+    TagAudit a;
+    fields(a, rec);
+    EXPECT_FALSE(a.repeated) << what;
+    EXPECT_FALSE(a.tags.empty()) << what;
+  };
+  (audit(Records{}, typeid(Records).name()), ...);
+}
+
+TEST(Binary, FieldListsUseEachTagAndNameOnce) {
+  expect_unique_tags<net::Request, net::Response, net::WorkerInfo,
+                     net::WorkerLoad, net::HelloInfo, net::RunPayload,
+                     service::CompileResult, pm::PassRecord,
+                     driver::PipelineOptions, interp::InterpOptions,
+                     incr::UnitSnapshot, incr::OmpMark, fir::OmpInfo,
+                     fir::OmpInfo::Reduction, par::ParallelizeResult,
+                     par::LoopVerdict, par::Blocker>();
 }
 
 TEST(Server, BinaryGarbageDrawsProtocolErrorAndClose) {
@@ -1276,7 +1345,7 @@ TEST(Channel, ConcurrentCallsMultiplexOneConnection) {
 // Observability plane
 // ---------------------------------------------------------------------------
 
-TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
+TEST(Protocol, TraceAndStatsFieldsRoundTripAndRender) {
   std::string err;
   net::Request back;
 
@@ -1287,8 +1356,8 @@ TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
   ASSERT_TRUE(round_trip(traced, &back, &err)) << err;
   EXPECT_TRUE(back.trace);
   EXPECT_EQ(back.trace_id, traced.trace_id);
-  EXPECT_EQ(net::request_to_json(back).dump(),
-            net::request_to_json(traced).dump());
+  EXPECT_EQ(tlv::to_json(back).dump(),
+            tlv::to_json(traced).dump());
 
   // The trace id alone rides control-plane hops (peer probes/fills).
   net::Request probe = rich_request(net::RequestType::CacheProbe);
@@ -1302,7 +1371,7 @@ TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
   hb.load.hist = "compile=3;4000;96:3|cache:hit=1;5;5:1";
   ASSERT_TRUE(round_trip(hb, &back, &err)) << err;
   EXPECT_EQ(back.load.hist, hb.load.hist);
-  EXPECT_EQ(net::request_to_json(back).dump(), net::request_to_json(hb).dump());
+  EXPECT_EQ(tlv::to_json(back).dump(), tlv::to_json(hb).dump());
 
   // The stats type round-trips.
   net::Request stats;
@@ -1322,16 +1391,16 @@ TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
   EXPECT_EQ(got.name, "request");
   ASSERT_EQ(got.children.size(), 1u);
   EXPECT_EQ(got.children[0].name, "queue");
-  EXPECT_EQ(net::response_to_json(rback).dump(),
-            net::response_to_json(resp).dump());
+  EXPECT_EQ(tlv::to_json(rback).dump(),
+            tlv::to_json(resp).dump());
 
   // An untraced response renders no trace member at all.
   net::Response plain;
   plain.id = 8;
-  EXPECT_EQ(net::response_to_json(plain).find("trace"), nullptr);
+  EXPECT_EQ(tlv::to_json(plain).find("trace"), nullptr);
 }
 
-TEST(Server, StatsUnderV4DrawsUnsupportedVersion) {
+TEST(Server, StatsUnderOldVersionDrawsUnsupportedVersion) {
   LiveServer live;
   net::Client client;
   std::string err;

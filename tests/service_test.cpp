@@ -116,7 +116,43 @@ TEST(CacheSerialization, RoundTripPreservesResult) {
 TEST(CacheSerialization, RejectsGarbageAndWrongVersion) {
   EXPECT_FALSE(service::deserialize_result("").has_value());
   EXPECT_FALSE(service::deserialize_result("not a cache entry").has_value());
-  EXPECT_FALSE(service::deserialize_result("APCACHE 999\nok 1\n").has_value());
+  // A well-formed record under another format version is refused: the
+  // header byte after the magic is the varint version.
+  service::CompileResult r;
+  r.ok = true;
+  std::string bytes = service::serialize_result(r);
+  ASSERT_TRUE(service::deserialize_result(bytes).has_value());
+  ASSERT_EQ(bytes[0], static_cast<char>(service::kCacheRecordMagic));
+  ASSERT_EQ(bytes[1], static_cast<char>(service::kCacheFormatVersion));
+  bytes.replace(1, 1, "\xe7\x07");  // varint 999
+  EXPECT_FALSE(service::deserialize_result(bytes).has_value());
+}
+
+// Cache records arrive from disk and from peers: the seeded truncation
+// and mutation pass over a real compile's record and one with every
+// optional field set.
+TEST(CacheSerialization, TruncatedAndMutatedRecordsNeverCrashTheDecoder) {
+  auto j = tiny_job();
+  service::CompileResult real =
+      service::to_compile_result(driver::run_pipeline(j.app, j.opts));
+  ASSERT_TRUE(real.ok);
+  service::CompileResult rich = real;
+  rich.error = "partial";
+  rich.print_dump = "after parse";
+  rich.stopped_early = true;
+  rich.timings.passes.push_back({"parallelize", 2.5, 3, 1, 2, 1, 1, 0, 1});
+
+  std::mt19937 rng(20110913);
+  for (const auto* r : {&real, &rich}) {
+    std::string bytes = service::serialize_result(*r);
+    ASSERT_TRUE(service::deserialize_result(bytes).has_value());
+    test::expect_mutants_fail_cleanly(
+        bytes, rng, r == &real ? "real" : "rich", [](const std::string& m) {
+          auto back = service::deserialize_result(m);
+          if (back) (void)service::serialize_result(*back);
+          return back.has_value();
+        });
+  }
 }
 
 TEST(ResultCache, HitOnIdenticalSourceAndOptions) {
@@ -210,6 +246,33 @@ TEST(ResultCache, DiskTierRoundTrip) {
   // Promoted: the next lookup is a memory hit.
   EXPECT_TRUE(sched.run_one(j).cache_hit);
   EXPECT_EQ(cache.stats().memory_hits, 1u);
+}
+
+// A stored entry carries no per-request outcome: whichever tier later
+// serves it, the hit was not a peer hit and did no unit work.
+TEST(ResultCache, StoreClearsThePerRequestOutcome) {
+  TempDir dir("outcome");
+  service::CompileResult adopted;
+  adopted.ok = true;
+  adopted.program_text = "P";
+  adopted.cache_hit = adopted.peer_hit = true;
+  adopted.unit_hits = adopted.unit_misses = adopted.unit_invalidated = 3;
+  adopted.unit_disk_hits = adopted.unit_peer_hits = 1;
+  service::ResultCache cache(8, dir.path.string());
+  cache.store(1, adopted);
+  service::ResultCache cold(8, dir.path.string());
+  for (service::ResultCache* c : {&cache, &cold}) {
+    auto hit = c->find(1);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->program_text, "P");
+    EXPECT_FALSE(hit->cache_hit);
+    EXPECT_FALSE(hit->peer_hit);
+    EXPECT_EQ(hit->unit_hits + hit->unit_misses + hit->unit_invalidated +
+                  hit->unit_disk_hits + hit->unit_peer_hits,
+              0u);
+  }
+  EXPECT_EQ(cache.stats().memory_hits, 1u);
+  EXPECT_EQ(cold.stats().disk_hits, 1u);
 }
 
 TEST(ResultCache, DiskBudgetEvictsOldestEntries) {

@@ -7,6 +7,7 @@
 #include "support/diagnostics.h"
 #include "support/json.h"
 #include "support/text.h"
+#include "tests/test_util.h"
 
 namespace ap {
 namespace {
@@ -156,6 +157,40 @@ TEST(Json, ParseRejectsExcessiveNesting) {
   std::string err;
   EXPECT_FALSE(json::parse(deep, &err).has_value());
   EXPECT_NE(err.find("deep"), std::string::npos);
+}
+
+// json::parse reads the metrics and trace payloads of peer frames: the
+// seeded truncation and mutation pass over a document of every kind.
+TEST(Json, TruncatedAndMutatedDocumentsNeverCrashTheParser) {
+  json::Value child = json::Value::object();
+  child.set("name", "queue").set("wall_ms", 0.5).set("children",
+                                                      json::Value::array());
+  json::Value children = json::Value::array();
+  children.push(std::move(child));
+  json::Value doc = json::Value::object();
+  doc.set("name", "request \"quoted\"\n\u00e9")
+      .set("big", static_cast<int64_t>(9007199254740993))
+      .set("neg", -42)
+      .set("ratio", 0.125)
+      .set("flags", json::Value::array())
+      .set("none", json::Value())
+      .set("ok", true)
+      .set("children", std::move(children));
+  std::mt19937 rng(20110913);
+  for (int indent : {-1, 2}) {
+    test::expect_mutants_fail_cleanly(
+        doc.dump(indent), rng, "indent " + std::to_string(indent),
+        [](const std::string& m) {
+          std::string err;
+          auto v = json::parse(m, &err);
+          if (!v) {
+            EXPECT_FALSE(err.empty()) << "failed without a reason";
+            return false;
+          }
+          (void)v->dump();
+          return true;
+        });
+  }
 }
 
 TEST(Json, NumbersRoundTripExactly) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
 #include <string>
 
 #include "fir/ast.h"
@@ -26,6 +27,32 @@ inline fir::ExprPtr expr_ok(std::string_view src) {
   auto e = fir::parse_expression(src, diags);
   EXPECT_TRUE(e != nullptr) << diags.render_all();
   return e;
+}
+
+// The seeded truncation-and-mutation pass over one encoded input. Every
+// strict prefix must fail to decode; every single-byte flip and each of 64
+// seeded overwrites of 2-8 random bytes must either decode or fail, with
+// no crash, exception or out-of-bounds read (the sanitizer builds run
+// this). `decode(bytes)` returns whether the bytes decoded; it checks the
+// failure reason itself where its decoder reports one.
+template <class Decode>
+void expect_mutants_fail_cleanly(const std::string& bytes, std::mt19937& rng,
+                                 const std::string& label, Decode decode) {
+  for (size_t len = 0; len < bytes.size(); ++len)
+    EXPECT_FALSE(decode(bytes.substr(0, len)))
+        << label << ": prefix of " << len << " bytes decoded";
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    std::string mutated = bytes;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5a);
+    decode(mutated);
+  }
+  for (int trial = 0; trial < 64; ++trial) {
+    std::string mutated = bytes;
+    int flips = 2 + static_cast<int>(rng() % 7);
+    for (int f = 0; f < flips; ++f)
+      mutated[rng() % mutated.size()] = static_cast<char>(rng() & 0xff);
+    decode(mutated);
+  }
 }
 
 // Find the first DO loop with the given induction variable in a unit.
